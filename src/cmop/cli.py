@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CmopError, InputError
+from .errors import CmopError
 from .harness import (
+    CHECK_SOURCES,
+    ITERATIVE_METHODS,
     METHODS,
     default_seed,
     gen_instance,
@@ -83,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument("instance", help="instance file")
     check.add_argument(
         "--w-source",
-        choices=("gd", "pgd", "oracle", "file"),
+        choices=CHECK_SOURCES,
         default="pgd",
         help="where the certified iterate comes from",
     )
@@ -102,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="run one solve per step size")
     sweep.add_argument("instance", help="instance file")
-    sweep.add_argument("--method", choices=("gd", "pgd", "real-augmented"), default="gd")
+    sweep.add_argument("--method", choices=ITERATIVE_METHODS, default="gd")
     sweep.add_argument(
         "--alphas",
         required=True,
@@ -146,9 +148,7 @@ def main(argv=None) -> int:
                 radius_is_eta=args.radius_is_eta,
                 time_iterations=args.time,
             )
-            if result.stop_reason == STOP_DIVERGED:
-                return EXIT_DIVERGED
-            return EXIT_OK
+            return EXIT_DIVERGED if result.stop_reason == STOP_DIVERGED else EXIT_OK
 
         if args.command == "check":
             monitors = [tag.strip() for tag in args.monitors.split(",") if tag.strip()]
@@ -178,9 +178,6 @@ def main(argv=None) -> int:
             radius_is_eta=args.radius_is_eta,
         )
         return EXIT_OK
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CmopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

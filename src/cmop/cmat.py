@@ -71,6 +71,12 @@ def row_sq_norms(w: ComplexMatrix) -> RealVector:
     return np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
 
 
+def uniform_cmatrix(rng: np.random.Generator, scale: float, shape) -> ComplexMatrix:
+    """Random matrix whose real parts, then imaginary parts, are drawn
+    uniformly from [-scale, scale] by ``rng``."""
+    return rng.uniform(-scale, scale, shape) + 1j * rng.uniform(-scale, scale, shape)
+
+
 def adjoint_product(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:
     """Conjugate-transpose product x^H y.
 

@@ -22,11 +22,12 @@ from .cmat import (
     re_frob_inner,
     row_sq_norms,
     rvector,
+    uniform_cmatrix,
 )
-from .errors import DegenerateRowError, DimensionError, InputError
-from .objective import Precomputed, ProblemInstance, evaluate, gradient
+from .errors import DegenerateRowError, InputError
+from .objective import Precomputed, ProblemInstance, _check_w_shape, evaluate, gradient
 from .projection import RowBall, project_rows, vi_residual
-from .solvers import IterationRecord
+from .solvers import IterationRecord, kkt_residuals_for
 
 MONITOR_THM2 = "thm2-descent"
 MONITOR_THM3_DECREASE = "thm3-decrease"
@@ -106,10 +107,8 @@ def kkt_check(
     primal <= pass_tol * eta, and dual/complementarity <= pass_tol scaled
     by max(1, max lambda) (times eta for complementarity).
     """
-    w = np.asarray(w)
     n, k = pre.b.shape
-    if w.shape != (n, k):
-        raise DimensionError(f"W must be {n}x{k}, got {w.shape}")
+    w = _check_w_shape(w, n, k)
     eta = instance.eta
     if active_tol is None:
         active_tol = 1e-6 * eta
@@ -124,27 +123,38 @@ def kkt_check(
                 )
             lam[i] = re_frob_inner(resid[i : i + 1], w[i : i + 1]) / rs[i]
 
-    stat_abs = frob_norm((pre.g + np.diag(lam)) @ w - pre.b)
-    b_norm = frob_norm(pre.b)
-    stationarity = stat_abs / b_norm if b_norm > 0.0 else stat_abs
-    primal = max(0.0, float(np.max(rs - eta)))
-    dual = max(0.0, -float(np.min(lam)))
-    comp = float(np.max(np.abs(lam * (rs - eta))))
+    res = kkt_residuals_for(pre, instance, w, lam)
     lam_scale = max(1.0, float(np.max(lam, initial=0.0)))
     passed = (
-        stationarity <= pass_tol
-        and primal <= pass_tol * eta
-        and dual <= pass_tol * lam_scale
-        and comp <= pass_tol * eta * lam_scale
+        res["stationarity"] <= pass_tol
+        and res["primal"] <= pass_tol * eta
+        and res["dual"] <= pass_tol * lam_scale
+        and res["complementarity"] <= pass_tol * eta * lam_scale
     )
     return KktReport(
-        stationarity_residual=stationarity,
-        primal_violation=primal,
-        dual_violation=dual,
-        complementarity=comp,
+        stationarity_residual=res["stationarity"],
+        primal_violation=res["primal"],
+        dual_violation=res["dual"],
+        complementarity=res["complementarity"],
         lambda_hat=rvector(lam),
         passed=passed,
     )
+
+
+def _decrease_checks(trace, coeff, norm_field):
+    """(iter, decrease, coeff * norm^2, 1e-9 (1 + |F(W^t)|)) per record,
+    with norm the record's ``norm_field``."""
+    if not trace:
+        raise InputError("cannot monitor an empty trace")
+    return [
+        (
+            rec.iter,
+            rec.decrease,
+            coeff * getattr(rec, norm_field) ** 2,
+            1e-9 * (1.0 + abs(rec.objective)),
+        )
+        for rec in trace
+    ]
 
 
 def monitor_thm2(
@@ -153,19 +163,8 @@ def monitor_thm2(
     """Check the per-iteration descent bound of fixed-step gradient descent:
     decrease >= alpha (1 - alpha L / 2) ||grad||_F^2, with additive slack
     1e-9 (1 + |F(W^t)|)."""
-    if not trace:
-        raise InputError("cannot monitor an empty trace")
     coeff = alpha * (1.0 - alpha * lipschitz / 2.0)
-    checks = (
-        (
-            rec.iter,
-            rec.decrease,
-            coeff * rec.grad_norm**2,
-            1e-9 * (1.0 + abs(rec.objective)),
-        )
-        for rec in trace
-    )
-    return _build_report(MONITOR_THM2, checks)
+    return _build_report(MONITOR_THM2, _decrease_checks(trace, coeff, "grad_norm"))
 
 
 def monitor_thm3(
@@ -183,25 +182,14 @@ def monitor_thm3(
     ||W^t - W*||^2 >= ||W^{t+1} - W*||^2 + (1 - alpha L) ||W^t - W^{t+1}||^2.
     ``iterates`` must hold W^0 .. W^T aligned with the trace.
     """
-    if not trace:
-        raise InputError("cannot monitor an empty trace")
+    decrease_report = _build_report(
+        MONITOR_THM3_DECREASE, _decrease_checks(trace, 1.0 / alpha - lipschitz, "step_norm")
+    )
     if len(iterates) != len(trace) + 1:
         raise InputError(
             f"iterates must hold one more entry than the trace: "
             f"{len(iterates)} vs {len(trace)}"
         )
-    coeff = 1.0 / alpha - lipschitz
-    decrease_checks = (
-        (
-            rec.iter,
-            rec.decrease,
-            coeff * rec.step_norm**2,
-            1e-9 * (1.0 + abs(rec.objective)),
-        )
-        for rec in trace
-    )
-    decrease_report = _build_report(MONITOR_THM3_DECREASE, decrease_checks)
-
     w_opt = np.asarray(w_opt)
     dists = [frob_norm(it - w_opt) ** 2 for it in iterates]
     fejer_coeff = 1.0 - alpha * lipschitz
@@ -283,12 +271,8 @@ def monitor_lemma4(
     rng = np.random.default_rng(seed)
     checks = []
     for i in range(samples):
-        v = rng.uniform(-v_scale, v_scale, (n, k)) + 1j * rng.uniform(
-            -v_scale, v_scale, (n, k)
-        )
-        probe = rng.uniform(-v_scale, v_scale, (n, k)) + 1j * rng.uniform(
-            -v_scale, v_scale, (n, k)
-        )
+        v = uniform_cmatrix(rng, v_scale, (n, k))
+        probe = uniform_cmatrix(rng, v_scale, (n, k))
         w_test = project_rows(probe, ball)
         w_plus = project_rows(v, ball)
         checks.append((i, vi_residual(w_plus, v, w_test), 0.0, 1e-10))

@@ -32,9 +32,10 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics
-from .cmat import cmatrix
+from .cmat import cmatrix, uniform_cmatrix
 from .errors import (
     CmopError,
+    ConfigError,
     EnumerationGuardError,
     InputError,
 )
@@ -57,16 +58,23 @@ from .solvers import (
     pgd_solve,
     real_augmented_pgd,
     resolve_alpha,
+    step_fraction,
 )
 
 _RNG_ID = "numpy-pcg64"
 ENV_SEED = "CMOP_SEED"
 
 METHODS = ("gd", "pgd", "closed", "oracle", "real-augmented")
+ITERATIVE_METHODS = ("gd", "pgd", "real-augmented")
 CHECK_SOURCES = ("gd", "pgd", "oracle", "file")
 MONITOR_TAGS = ("thm2", "thm3", "kkt", "lemma2", "lemma4", "lipschitz")
 
 TRACE_HEADER = "iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns"
+_TRACE_CASTS = (int, float, float, float, float, int, int)
+SWEEP_COLUMNS = (
+    "index", "alpha_spec", "alpha", "iterations", "iters_to_threshold",
+    "final_objective", "stop_reason", "error",
+)
 
 
 def default_seed() -> int:
@@ -122,32 +130,54 @@ def gen_instance(
     }
 
 
+def _require_fields(doc: dict, kind: str, fields) -> None:
+    for field in fields:
+        if field not in doc:
+            raise InputError(f"{kind} document is missing field {field!r}")
+
+
+def _int_fields(doc: dict, names) -> list[int]:
+    try:
+        return [int(doc[name]) for name in names]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"fields {', '.join(names)} must be integers") from exc
+
+
+def _float_array(doc: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
+    """A document field as a finite float64 array of the given shape."""
+    try:
+        arr = np.asarray(doc[field], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"field {field!r} is not a numeric array") from exc
+    if arr.shape != shape:
+        raise InputError(f"field {field!r} must have shape {shape}, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InputError(f"field {field!r} contains non-finite values")
+    return arr
+
+
+def _read_json_object(path, kind: str) -> dict:
+    """Parse an ASCII JSON file whose top level must be an object."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="ascii"))
+    except OSError as exc:
+        raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
+    except ValueError as exc:  # non-ASCII bytes, bad syntax, over-long integers
+        raise InputError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{kind} file {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def instance_from_document(doc: dict) -> ProblemInstance:
     """Validate an instance document and build the problem it describes.
 
     Errors name the offending field.
     """
-    for field in ("m", "n", "k", "eta", "h_re", "h_im", "a_re", "a_im"):
-        if field not in doc:
-            raise InputError(f"instance document is missing field {field!r}")
-    try:
-        m, n, k = int(doc["m"]), int(doc["n"]), int(doc["k"])
-    except (TypeError, ValueError) as exc:
-        raise InputError("fields m, n, k must be integers") from exc
-    arrays = {}
+    _require_fields(doc, "instance", ("m", "n", "k", "eta", "h_re", "h_im", "a_re", "a_im"))
+    m, n, k = _int_fields(doc, ("m", "n", "k"))
     shapes = {"h_re": (m, n), "h_im": (m, n), "a_re": (m, k), "a_im": (m, k)}
-    for field, shape in shapes.items():
-        try:
-            arr = np.asarray(doc[field], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"field {field!r} is not a numeric array") from exc
-        if arr.shape != shape:
-            raise InputError(
-                f"field {field!r} must have shape {shape}, got {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InputError(f"field {field!r} contains non-finite values")
-        arrays[field] = arr
+    arrays = {field: _float_array(doc, field, shape) for field, shape in shapes.items()}
     try:
         eta = float(doc["eta"])
     except (TypeError, ValueError) as exc:
@@ -164,12 +194,7 @@ def write_instance(doc: dict, path) -> None:
 
 
 def read_instance(path) -> tuple[ProblemInstance, dict]:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except OSError as exc:
-        raise InputError(f"cannot read instance file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"instance file {path} is not valid JSON: {exc}") from exc
+    doc = _read_json_object(path, "instance")
     return instance_from_document(doc), doc
 
 
@@ -186,21 +211,11 @@ def write_solution(w, path) -> None:
 
 
 def read_solution(path):
-    try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
-    except OSError as exc:
-        raise InputError(f"cannot read solution file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"solution file {path} is not valid JSON: {exc}") from exc
-    for field in ("n", "k", "w_re", "w_im"):
-        if field not in doc:
-            raise InputError(f"solution document is missing field {field!r}")
-    n, k = int(doc["n"]), int(doc["k"])
-    w_re = np.asarray(doc["w_re"], dtype=np.float64)
-    w_im = np.asarray(doc["w_im"], dtype=np.float64)
-    for field, arr in (("w_re", w_re), ("w_im", w_im)):
-        if arr.shape != (n, k):
-            raise InputError(f"field {field!r} must have shape {(n, k)}, got {arr.shape}")
+    doc = _read_json_object(path, "solution")
+    _require_fields(doc, "solution", ("n", "k", "w_re", "w_im"))
+    n, k = _int_fields(doc, ("n", "k"))
+    w_re = _float_array(doc, "w_re", (n, k))
+    w_im = _float_array(doc, "w_im", (n, k))
     return cmatrix(w_re + 1j * w_im)
 
 
@@ -211,6 +226,11 @@ def write_trace(records: list[IterationRecord], path) -> None:
             f"{rec.iter},{rec.objective!r},{rec.decrease!r},{rec.grad_norm!r},"
             f"{rec.step_norm!r},{rec.flops},{rec.elapsed_ns}"
         )
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines: list[str]) -> None:
+    """Write ASCII text lines with LF endings."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
@@ -219,6 +239,8 @@ def read_trace(path) -> list[IterationRecord]:
         text = Path(path).read_text(encoding="ascii")
     except OSError as exc:
         raise InputError(f"cannot read trace file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"trace file {path} is not ASCII: {exc}") from exc
     lines = text.strip().split("\n")
     if not lines or lines[0] != TRACE_HEADER:
         raise InputError(f"trace file {path} has an unexpected header")
@@ -227,17 +249,10 @@ def read_trace(path) -> list[IterationRecord]:
         parts = line.split(",")
         if len(parts) != 7:
             raise InputError(f"trace row has {len(parts)} fields, expected 7")
-        records.append(
-            IterationRecord(
-                iter=int(parts[0]),
-                objective=float(parts[1]),
-                decrease=float(parts[2]),
-                grad_norm=float(parts[3]),
-                step_norm=float(parts[4]),
-                flops=int(parts[5]),
-                elapsed_ns=int(parts[6]),
-            )
-        )
+        try:
+            records.append(IterationRecord(*(cast(x) for cast, x in zip(_TRACE_CASTS, parts))))
+        except ValueError as exc:
+            raise InputError(f"trace row {line!r} is not numeric") from exc
     return records
 
 
@@ -247,13 +262,9 @@ def parse_alpha_spec(text: str):
     text = text.strip()
     if text.startswith("f"):
         try:
-            frac = float(text[1:])
-        except ValueError as exc:
-            raise InputError(
-                f"step size must be a number or f<fraction>, got {text!r}"
-            ) from exc
-        if not 0.0 < frac < 1.0:
-            raise InputError(f"step fraction must lie in (0, 1), got {frac}")
+            step_fraction(text)
+        except ConfigError as exc:
+            raise InputError(str(exc)) from exc
         return text
     try:
         return float(text)
@@ -285,10 +296,6 @@ class ExperimentSummary:
         )
 
 
-def _zero_start(instance: ProblemInstance):
-    return np.zeros((instance.n, instance.k), dtype=np.complex128)
-
-
 def run_solver(
     instance: ProblemInstance,
     pre: Precomputed,
@@ -301,14 +308,13 @@ def run_solver(
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
     if w0 is None:
-        w0 = _zero_start(instance)
+        w0 = np.zeros((instance.n, instance.k), dtype=np.complex128)
     if method == "gd":
         return gd_solve(pre, instance, w0, config)
-    if method == "pgd":
+    if method in ("pgd", "real-augmented"):
         ball = RowBall.for_power_budget(instance.eta, radius_is_eta)
-        return pgd_solve(pre, instance, w0, ball, config)
-    if method == "real-augmented":
-        ball = RowBall.for_power_budget(instance.eta, radius_is_eta)
+        if method == "pgd":
+            return pgd_solve(pre, instance, w0, ball, config)
         return real_augmented_pgd(instance, w0, ball, config, pre=pre)
     if method == "closed":
         w = closed_form_unconstrained(pre)
@@ -324,6 +330,32 @@ def run_solver(
     return active_set_oracle(pre, instance)
 
 
+def _solve(
+    instance: ProblemInstance,
+    pre: Precomputed,
+    method: str,
+    alpha_spec: str,
+    radius_is_eta: bool,
+    **config_options,
+) -> tuple[SolveResult, float | None]:
+    """Build the solver config, resolve the step of an iterative method and
+    run one solve with solver warnings silenced (callers report an
+    out-of-interval step themselves). Returns (result, resolved step or
+    None for the direct methods)."""
+    config = SolverConfig(alpha=parse_alpha_spec(alpha_spec), **config_options)
+    resolved = None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        if method in ITERATIVE_METHODS:
+            resolved = resolve_alpha(config, pre.lipschitz, _step_mode(method))
+        result = run_solver(instance, pre, method, config, radius_is_eta)
+    return result, resolved
+
+
+def _step_mode(method: str) -> str:
+    return "gd" if method == "gd" else "pgd"
+
+
 def run_experiment(
     instance_path,
     method: str,
@@ -337,26 +369,16 @@ def run_experiment(
     stream=None,
 ) -> tuple[SolveResult, ExperimentSummary]:
     """Load an instance, run one solver, export the trace, print a summary."""
-    stream = stream if stream is not None else sys.stdout
     instance, _ = read_instance(instance_path)
     pre = precompute(instance)
-    alpha = parse_alpha_spec(alpha_spec)
-    config = SolverConfig(
-        alpha=alpha,
-        tau=tau,
-        max_iter=max_iter,
-        record_trace=True,
-        time_iterations=time_iterations,
+    result, resolved = _solve(
+        instance, pre, method, alpha_spec, radius_is_eta,
+        tau=tau, max_iter=max_iter, time_iterations=time_iterations,
     )
 
-    resolved = None
     in_interval = None
-    if method in ("gd", "pgd", "real-augmented"):
-        mode = "gd" if method == "gd" else "pgd"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            resolved = resolve_alpha(config, pre.lipschitz, mode)
-        sup = guaranteed_interval_sup(pre.lipschitz, mode)
+    if resolved is not None:
+        sup = guaranteed_interval_sup(pre.lipschitz, _step_mode(method))
         in_interval = 0.0 < resolved < sup
         if not in_interval:
             print(
@@ -364,10 +386,6 @@ def run_experiment(
                 f"interval (0, {sup!r}); proceeding",
                 file=sys.stderr,
             )
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # out-of-interval warning already shown
-        result = run_solver(instance, pre, method, config, radius_is_eta)
 
     if trace_path is not None:
         write_trace(result.trace, trace_path)
@@ -424,7 +442,6 @@ def run_check(
     produced internally by the active-set enumeration; on instances too
     large for it the error explains how to proceed.
     """
-    stream = stream if stream is not None else sys.stdout
     if not monitors:
         raise InputError("no monitors requested")
     _check_monitor_validity(w_source, monitors)
@@ -433,40 +450,22 @@ def run_check(
     instance, _ = read_instance(instance_path)
     pre = precompute(instance)
     ball = RowBall.for_power_budget(instance.eta, radius_is_eta)
-    alpha = parse_alpha_spec(alpha_spec)
-
-    needs_solve = w_source in ("gd", "pgd")
-    result = None
-    resolved = None
-    if needs_solve:
-        mode = "gd" if w_source == "gd" else "pgd"
-        config = SolverConfig(
-            alpha=alpha,
-            tau=tau,
-            max_iter=max_iter,
-            record_trace=True,
-            record_iterates="thm3" in monitors,
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            resolved = resolve_alpha(config, pre.lipschitz, mode)
-            result = run_solver(instance, pre, w_source, config, radius_is_eta)
-        w = result.w_final
-    elif w_source == "oracle":
-        result = active_set_oracle(pre, instance)
-        w = result.w_final
-    else:  # file
+    if w_source == "file":
+        parse_alpha_spec(alpha_spec)  # reject a malformed step even when no solve uses it
         if w_path is None:
             raise InputError("w_source 'file' needs --w-file pointing at a solution")
         w = read_solution(w_path)
+    else:
+        result, resolved = _solve(
+            instance, pre, w_source, alpha_spec, radius_is_eta,
+            tau=tau, max_iter=max_iter, record_iterates="thm3" in monitors,
+        )
+        w = result.w_final
 
-    lines: list[str] = []
-    all_passed = True
-
+    reports: list = []
     for tag in monitors:
         if tag == "thm2":
-            report = diagnostics.monitor_thm2(result.trace, resolved, pre.lipschitz)
-            reports = [report]
+            reports.append(diagnostics.monitor_thm2(result.trace, resolved, pre.lipschitz))
         elif tag == "thm3":
             try:
                 w_opt = active_set_oracle(pre, instance).w_final
@@ -477,50 +476,43 @@ def run_check(
                     f"{exc}. Solve a smaller instance, or certify the iterate "
                     "with the kkt monitor instead."
                 ) from exc
-            reports = list(
+            reports.extend(
                 diagnostics.monitor_thm3(
                     result.trace, result.iterates, w_opt, resolved, pre.lipschitz
                 )
             )
         elif tag == "lemma2":
             rng = np.random.default_rng(seed)
-            scale = 2.0 * ball.radius
-            pairs = []
-            for _ in range(100):
-                w1 = rng.uniform(-scale, scale, (instance.n, instance.k)) + 1j * (
-                    rng.uniform(-scale, scale, (instance.n, instance.k))
-                )
-                w2 = rng.uniform(-scale, scale, (instance.n, instance.k)) + 1j * (
-                    rng.uniform(-scale, scale, (instance.n, instance.k))
-                )
-                pairs.append((w1, w2))
-            reports = [diagnostics.monitor_lemma2(pre, instance, pairs)]
+            shape = (instance.n, instance.k)
+            pairs = [
+                (uniform_cmatrix(rng, 2.0 * ball.radius, shape),
+                 uniform_cmatrix(rng, 2.0 * ball.radius, shape))
+                for _ in range(100)
+            ]
+            reports.append(diagnostics.monitor_lemma2(pre, instance, pairs))
         elif tag == "lemma4":
-            reports = [
+            reports.append(
                 diagnostics.monitor_lemma4(
                     ball, instance.n, instance.k, 500, seed,
                     v_scale=float(np.abs(instance.h).max()),
                 )
-            ]
+            )
         elif tag == "lipschitz":
-            reports = [
-                diagnostics.monitor_lipschitz(instance.h, pre.lipschitz, 1000, seed)
-            ]
+            reports.append(diagnostics.monitor_lipschitz(instance.h, pre.lipschitz, 1000, seed))
         else:  # kkt
-            report = diagnostics.kkt_check(pre, instance, w)
+            reports.append(diagnostics.kkt_check(pre, instance, w))
+
+    lines: list[str] = []
+    for report in reports:
+        if isinstance(report, diagnostics.KktReport):
             lines.extend(diagnostics.kkt_report_lines(report))
-            all_passed = all_passed and report.passed
-            continue
-        for report in reports:
+        else:
             lines.extend(diagnostics.monitor_report_lines(report))
-            all_passed = all_passed and report.passed
+    all_passed = all(report.passed for report in reports)
 
     if report_path is not None:
-        Path(report_path).write_text(
-            "\n".join(lines) + "\n", encoding="ascii", newline="\n"
-        )
-    for line in lines:
-        print(line, file=stream)
+        _write_lines(report_path, lines)
+    print("\n".join(lines), file=stream)
     return all_passed, lines
 
 
@@ -549,10 +541,9 @@ def run_sweep(
     objective). Solver errors are recorded per step size rather than
     aborting the sweep.
     """
-    stream = stream if stream is not None else sys.stdout
     if not alpha_specs:
         raise InputError("sweep needs at least one step size")
-    if method not in ("gd", "pgd", "real-augmented"):
+    if method not in ITERATIVE_METHODS:
         raise InputError(f"sweep supports iterative methods only, got {method!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -562,24 +553,12 @@ def run_sweep(
     rows = []
     for i, spec in enumerate(alpha_specs):
         trace_path = out / f"trace_{i}.csv"
-        row = {
-            "index": i,
-            "alpha_spec": spec.strip(),
-            "alpha": "",
-            "iterations": "",
-            "iters_to_threshold": "",
-            "final_objective": "",
-            "stop_reason": "",
-            "error": "",
-        }
+        row = dict.fromkeys(SWEEP_COLUMNS, "")
+        row.update(index=i, alpha_spec=spec.strip())
         try:
-            alpha = parse_alpha_spec(spec)
-            config = SolverConfig(alpha=alpha, tau=tau, max_iter=max_iter)
-            mode = "gd" if method == "gd" else "pgd"
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                resolved = resolve_alpha(config, pre.lipschitz, mode)
-                result = run_solver(instance, pre, method, config, radius_is_eta)
+            result, resolved = _solve(
+                instance, pre, method, spec, radius_is_eta, tau=tau, max_iter=max_iter
+            )
             write_trace(result.trace, trace_path)
             reached = iterations_to_threshold(result.trace, result.objective)
             row.update(
@@ -593,17 +572,8 @@ def run_sweep(
             row["error"] = str(exc).replace("\n", " ")
         rows.append(row)
 
-    header = "index,alpha_spec,alpha,iterations,iters_to_threshold,final_objective,stop_reason,error"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['index']},{row['alpha_spec']},{row['alpha']},{row['iterations']},"
-            f"{row['iters_to_threshold']},{row['final_objective']},"
-            f"{row['stop_reason']},{row['error']}"
-        )
-    (out / "summary.csv").write_text(
-        "\n".join(lines) + "\n", encoding="ascii", newline="\n"
-    )
-    for line in lines:
-        print(line, file=stream)
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [",".join(str(row[col]) for col in SWEEP_COLUMNS) for row in rows]
+    _write_lines(out / "summary.csv", lines)
+    print("\n".join(lines), file=stream)
     return rows

@@ -5,7 +5,8 @@ Contains plain gradient descent, projected gradient descent on the row
 ball, a mirror of the projected method that iterates on the stacked
 real/imaginary representation (doubled real dimension), and an exhaustive
 active-set oracle that solves the constrained problem to optimality by
-enumerating which rows sit on the power boundary.
+enumerating which rows sit on the power boundary. One fixed-step kernel
+serves all three iterative methods, on complex or real-stacked data.
 
 Flop accounting
 ---------------
@@ -44,7 +45,7 @@ from .objective import (
     precompute,
     quad_objective_constant,
 )
-from .projection import RowBall, project_rows
+from .projection import _BOUNDARY_BAND, RowBall, project_rows
 
 STOP_DECREASE = "decrease-below-tau"
 STOP_GRAD_MAP = "grad-map-below-tol"
@@ -130,6 +131,19 @@ def guaranteed_interval_sup(lipschitz: float, mode: str) -> float:
     raise ConfigError(f"unknown step-size mode {mode!r} (expected 'gd' or 'pgd')")
 
 
+def step_fraction(spec: str) -> float:
+    """The fraction of an ``f<frac>`` step policy, checked to lie in (0, 1)."""
+    if not spec.startswith("f"):
+        raise ConfigError(f"step policy string must look like 'f0.9', got {spec!r}")
+    try:
+        frac = float(spec[1:])
+    except ValueError as exc:
+        raise ConfigError(f"step size must be a number or f<fraction>, got {spec!r}") from exc
+    if not 0.0 < frac < 1.0:
+        raise ConfigError(f"step fraction must lie in (0, 1), got {frac}")
+    return frac
+
+
 def resolve_alpha(config: SolverConfig, lipschitz: float, mode: str) -> float:
     """Turn the configured step policy into a concrete step size.
 
@@ -142,15 +156,7 @@ def resolve_alpha(config: SolverConfig, lipschitz: float, mode: str) -> float:
     sup = guaranteed_interval_sup(lipschitz, mode)
     spec = config.alpha
     if isinstance(spec, str):
-        if not spec.startswith("f"):
-            raise ConfigError(f"step policy string must look like 'f0.9', got {spec!r}")
-        try:
-            frac = float(spec[1:])
-        except ValueError as exc:
-            raise ConfigError(f"bad fraction in step policy {spec!r}") from exc
-        if not 0.0 < frac < 1.0:
-            raise ConfigError(f"step fraction must lie in (0, 1), got {frac}")
-        return frac * sup
+        return step_fraction(spec) * sup
     alpha = float(spec)
     if not alpha > 0.0:
         raise ConfigError(f"fixed step size must be positive, got {alpha}")
@@ -169,37 +175,39 @@ def _quad_value(w, gw, b, const):
     return 0.5 * float(np.vdot(w, gw).real) - float(np.vdot(w, b).real) + const
 
 
-def _fixed_step_loop(pre, instance, w0, config, ball, mode):
-    """Shared fixed-step iteration for the plain and projected methods."""
-    n, k = pre.b.shape
-    w = cmatrix(_check_w_shape(w0, n, k))
-    alpha = resolve_alpha(config, pre.lipschitz, mode)
-    if ball is not None:
-        w = project_rows(w, ball)
-    const = quad_objective_constant(instance)
-    gw = pre.g @ w
-    f = _quad_value(w, gw, pre.b, const)
+def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
+    """The fixed-step iteration W <- P(W - alpha (G W - B)) behind every
+    iterative solver.
+
+    ``w``, ``g`` and ``b`` share one representation, complex or
+    real-stacked, in which F(W) = 1/2 Re<W, G W> - Re<W, B> + const.
+    ``project`` (None for plain descent) is applied to the start and after
+    every step; ``to_complex`` maps an iterate to a new complex matrix for
+    the result. ``flops`` is the per-iteration count recorded in the trace.
+    """
+    if project is not None:
+        w = project(w)
+    gw = g @ w
+    f = _quad_value(w, gw, b, const)
     if not np.isfinite(f):
         raise InputError("objective is non-finite at the initial iterate")
     f_start = f
-    flops = per_iteration_flops(n, k)
     trace: list[IterationRecord] = []
     iterates: list[ComplexMatrix] | None = None
     if config.record_iterates:
-        iterates = [w.copy()]
+        iterates = [to_complex(w)]
 
-    converged = False
     stop_reason = STOP_MAX_ITER
     iterations = 0
     for t in range(config.max_iter):
         t0 = time.perf_counter_ns() if config.time_iterations else 0
-        grad = gw - pre.b
+        grad = gw - b
         grad_norm = frob_norm(grad)
         w_next = w - alpha * grad
-        if ball is not None:
-            w_next = project_rows(w_next, ball)
+        if project is not None:
+            w_next = project(w_next)
         delta = w_next - w
-        gw_next = pre.g @ w_next
+        gw_next = g @ w_next
         # Exact per-step decrease of the quadratic: differencing two
         # near-equal objective values would bottom out at their ulp long
         # before the iterates stop improving.
@@ -207,45 +215,47 @@ def _fixed_step_loop(pre, instance, w0, config, ball, mode):
             np.vdot(delta, gw_next - gw).real
         )
         gw = gw_next
-        f_next = _quad_value(w_next, gw, pre.b, const)
+        f_next = _quad_value(w_next, gw, b, const)
         step_norm = frob_norm(delta)
         elapsed = time.perf_counter_ns() - t0 if config.time_iterations else 0
         if config.record_trace:
-            trace.append(
-                IterationRecord(
-                    iter=t,
-                    objective=f,
-                    decrease=decrease,
-                    grad_norm=grad_norm,
-                    step_norm=step_norm,
-                    flops=flops,
-                    elapsed_ns=elapsed,
-                )
-            )
+            trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
         if iterates is not None:
-            iterates.append(w_next.copy())
+            iterates.append(to_complex(w_next))
         w, f = w_next, f_next
         iterations = t + 1
         if not np.isfinite(f) or f > _DIVERGENCE_FACTOR * f_start:
             stop_reason = STOP_DIVERGED
             break
         if decrease < config.tau:
-            converged = True
             stop_reason = STOP_DECREASE
             break
         if config.grad_map_tol > 0.0 and step_norm / alpha < config.grad_map_tol:
-            converged = True
             stop_reason = STOP_GRAD_MAP
             break
 
     return SolveResult(
-        w_final=w,
+        w_final=to_complex(w),
         objective=f,
         iterations=iterations,
-        converged=converged,
+        converged=stop_reason in (STOP_DECREASE, STOP_GRAD_MAP),
         stop_reason=stop_reason,
         trace=trace,
         iterates=iterates,
+    )
+
+
+def _complex_loop(pre, instance, w0, config, ball, mode):
+    """The shared loop on the complex data G, B of ``pre``."""
+    n, k = pre.b.shape
+    w = cmatrix(_check_w_shape(w0, n, k))
+    alpha = resolve_alpha(config, pre.lipschitz, mode)
+    # project_rows is looked up at call time, so a wrapper installed on this
+    # module (a profiler's, say) sees every projection.
+    project = None if ball is None else (lambda x: project_rows(x, ball))
+    const = quad_objective_constant(instance)
+    return _fixed_step_loop(
+        w, pre.g, pre.b, const, alpha, per_iteration_flops(n, k), config, project, np.copy
     )
 
 
@@ -262,7 +272,7 @@ def gd_solve(
     rule, at max_iter, or on divergence (objective above 1e6 times its
     initial value, or non-finite).
     """
-    return _fixed_step_loop(pre, instance, w0, config, ball=None, mode="gd")
+    return _complex_loop(pre, instance, w0, config, ball=None, mode="gd")
 
 
 def pgd_solve(
@@ -279,7 +289,7 @@ def pgd_solve(
     match gd_solve, with the gradient-map rule reading
     ||W^t - W^{t+1}||_F / alpha.
     """
-    return _fixed_step_loop(pre, instance, w0, config, ball=ball, mode="pgd")
+    return _complex_loop(pre, instance, w0, config, ball=ball, mode="pgd")
 
 
 def _stack_real(w):
@@ -297,7 +307,7 @@ def _project_stacked(u, n, ball):
     r = ball.radius
     rs = np.einsum("ij,ij->i", u[:n], u[:n]) + np.einsum("ij,ij->i", u[n:], u[n:])
     ell = np.sqrt(rs)
-    mask = (ell - r) > 1e-15
+    mask = (ell - r) > _BOUNDARY_BAND
     if not np.any(mask):
         return u.copy()
     out = u.copy()
@@ -318,8 +328,8 @@ def real_augmented_pgd(
 
     The variable is u = [Re W ; Im W] and the data are the real-stacked
     counterparts of H and A, so the whole iteration runs in a real space of
-    doubled dimension. Mathematically this mirrors ``pgd_solve`` step for
-    step; iterates map back to the complex ones up to floating-point
+    doubled dimension. It runs the same loop as ``pgd_solve`` on that data,
+    so iterates map back to the complex ones up to floating-point
     reordering. ``pre`` is only used to resolve fraction step policies
     against the same spectral estimate as the complex route (it is computed
     from the instance when omitted).
@@ -330,85 +340,15 @@ def real_augmented_pgd(
         pre = precompute(instance)
     alpha = resolve_alpha(config, pre.lipschitz, "pgd")
 
-    h_re = np.ascontiguousarray(instance.h.real)
-    h_im = np.ascontiguousarray(instance.h.imag)
-    hr = np.block([[h_re, -h_im], [h_im, h_re]])
+    h = instance.h
+    hr = np.block([[h.real, -h.imag], [h.imag, h.real]])
     ar = _stack_real(instance.a)
-    gr = hr.T @ hr
-    br = hr.T @ ar
-    const = 0.5 * float(np.dot(ar.ravel(), ar.ravel()))
-
-    u = _project_stacked(_stack_real(w0), n, ball)
-    gu = gr @ u
-    f = 0.5 * float(np.dot(u.ravel(), gu.ravel())) - float(
-        np.dot(u.ravel(), br.ravel())
-    ) + const
-    if not np.isfinite(f):
-        raise InputError("objective is non-finite at the initial iterate")
-    f_start = f
-    flops = per_iteration_flops(n, k)
-    trace: list[IterationRecord] = []
-    iterates: list[ComplexMatrix] | None = None
-    if config.record_iterates:
-        iterates = [_unstack_real(u, n)]
-
-    converged = False
-    stop_reason = STOP_MAX_ITER
-    iterations = 0
-    for t in range(config.max_iter):
-        t0 = time.perf_counter_ns() if config.time_iterations else 0
-        grad = gu - br
-        grad_norm = float(np.linalg.norm(grad))
-        u_next = u - alpha * grad
-        u_next = _project_stacked(u_next, n, ball)
-        delta = u_next - u
-        gu_next = gr @ u_next
-        # Exact per-step decrease, mirroring the complex route.
-        decrease = -float(np.dot(grad.ravel(), delta.ravel())) - 0.5 * float(
-            np.dot(delta.ravel(), (gu_next - gu).ravel())
-        )
-        gu = gu_next
-        f_next = 0.5 * float(np.dot(u_next.ravel(), gu.ravel())) - float(
-            np.dot(u_next.ravel(), br.ravel())
-        ) + const
-        step_norm = float(np.linalg.norm(delta))
-        elapsed = time.perf_counter_ns() - t0 if config.time_iterations else 0
-        if config.record_trace:
-            trace.append(
-                IterationRecord(
-                    iter=t,
-                    objective=f,
-                    decrease=decrease,
-                    grad_norm=grad_norm,
-                    step_norm=step_norm,
-                    flops=flops,
-                    elapsed_ns=elapsed,
-                )
-            )
-        if iterates is not None:
-            iterates.append(_unstack_real(u_next, n))
-        u, f = u_next, f_next
-        iterations = t + 1
-        if not np.isfinite(f) or f > _DIVERGENCE_FACTOR * f_start:
-            stop_reason = STOP_DIVERGED
-            break
-        if decrease < config.tau:
-            converged = True
-            stop_reason = STOP_DECREASE
-            break
-        if config.grad_map_tol > 0.0 and step_norm / alpha < config.grad_map_tol:
-            converged = True
-            stop_reason = STOP_GRAD_MAP
-            break
-
-    return SolveResult(
-        w_final=_unstack_real(u, n),
-        objective=f,
-        iterations=iterations,
-        converged=converged,
-        stop_reason=stop_reason,
-        trace=trace,
-        iterates=iterates,
+    # Not quad_objective_constant: that sums the complex entries in another
+    # order, and the stacked route keeps its own last bits.
+    const = 0.5 * float(np.vdot(ar, ar).real)
+    return _fixed_step_loop(
+        _stack_real(w0), hr.T @ hr, hr.T @ ar, const, alpha, per_iteration_flops(n, k),
+        config, lambda u: _project_stacked(u, n, ball), lambda u: _unstack_real(u, n),
     )
 
 
@@ -430,19 +370,16 @@ def _candidate_system(pre, lam):
 
 
 def _solve_active_candidate(pre, eta, active, inner_tol, inner_max_iter):
-    """Find lambda >= 0 supported on ``active`` putting those rows exactly on
-    the power boundary, or None when no such multiplier exists.
+    """Find lambda >= 0 supported on the non-empty ``active`` putting those
+    rows exactly on the power boundary, or None when no such multiplier
+    exists.
 
     Phase 1 is the multiplicative fixed point
     lambda_n <- lambda_n ||row_n(W(lambda))|| / sqrt(eta); phase 2 falls
     back to per-coordinate bisection sweeps. Returns (w, lam, inner_iters).
     Row norms shrink as lambda_n grows, which the bisection relies on.
     """
-    n = pre.b.shape[0]
-    lam = np.zeros(n)
-    if not active:
-        w = _candidate_system(pre, lam)
-        return w, lam, 1
+    lam = np.zeros(pre.b.shape[0])
     idx = np.array(active)
     lam[idx] = 1.0
     inner_iters = 0
@@ -505,22 +442,22 @@ def _solve_active_candidate(pre, eta, active, inner_tol, inner_max_iter):
 
 
 def kkt_residuals_for(pre, instance, w, lam):
-    """The four optimality residuals for an explicit multiplier vector.
+    """The four raw optimality residuals for an explicit multiplier vector.
 
-    Returns a dict with keys stationarity (relative to ||B||_F), primal,
-    dual, complementarity (the latter three relative to eta and the
-    multiplier scale).
+    Returns a dict with keys stationarity (||(G + Diag(lam)) W - B||_F
+    relative to ||B||_F, absolute when B = 0), primal
+    (max(0, max_n(||row_n||^2 - eta))), dual (max(0, -min_n lam_n)) and
+    complementarity (max_n |lam_n (||row_n||^2 - eta)|).
     """
     eta = instance.eta
     rs = row_sq_norms(w)
     stat = frob_norm((pre.g + np.diag(lam)) @ w - pre.b)
     b_norm = frob_norm(pre.b)
-    lam_scale = max(1.0, float(np.max(lam, initial=0.0)))
     return {
-        "stationarity": stat / max(b_norm, np.finfo(float).tiny),
-        "primal": max(0.0, float(np.max(rs - eta))) / eta,
+        "stationarity": stat / b_norm if b_norm > 0.0 else stat,
+        "primal": max(0.0, float(np.max(rs - eta))),
         "dual": max(0.0, -float(np.min(lam))),
-        "complementarity": float(np.max(np.abs(lam * (rs - eta)))) / (eta * lam_scale),
+        "complementarity": float(np.max(np.abs(lam * (rs - eta)))),
     }
 
 
@@ -566,6 +503,8 @@ def active_set_oracle(
                 w, lam, inner_iters = found
                 total_inner += inner_iters
             res = kkt_residuals_for(pre, instance, w, lam)
+            res["primal"] /= eta
+            res["complementarity"] /= eta * max(1.0, float(np.max(lam, initial=0.0)))
             worst = max(res.values())
             if best is None or worst < best[0]:
                 best = (worst, w, lam, res)

@@ -113,6 +113,75 @@ class TestInstanceRoundTrip:
             read_instance(tmp_path / "nope.json")
 
 
+MALFORMED_INSTANCES = {
+    "non-ascii-byte": json.dumps(gen_instance(seed=0)).encode().replace(
+        b'"rng"', b'"r\xc3\xa9ng"'
+    ),
+    "top-level-number": b"7",
+    "top-level-list": b"[1, 2]",
+    "over-long-integer": b'{"m": ' + b"1" * 5000 + b"}",
+}
+
+
+def _solution_doc(**changes):
+    doc = {"n": 2, "k": 2, "w_re": [[1.0, 0.0], [0.0, 1.0]], "w_im": [[0.0, 0.0], [0.0, 0.0]]}
+    doc.update(changes)
+    return json.dumps(doc).encode()
+
+
+MALFORMED_SOLUTIONS = {
+    "n-not-integer": _solution_doc(n="x"),
+    "ragged-w-re": _solution_doc(w_re=[[1.0, 0.0], [0.0]]),
+    "non-finite": _solution_doc(w_im=[[0.0, float("nan")], [0.0, 0.0]]),
+    "top-level-number": b"7",
+    "non-ascii-byte": _solution_doc().replace(b'"k"', b'"k\xc3\xa9"'),
+}
+
+
+class TestMalformedFiles:
+    """Bad file contents are input errors (exit 2), never tracebacks."""
+
+    @pytest.mark.parametrize(
+        "content", MALFORMED_INSTANCES.values(), ids=MALFORMED_INSTANCES.keys()
+    )
+    def test_instance(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.cmop.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError):
+            read_instance(path)
+        assert main(["solve", str(path), "--method", "closed"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "content", MALFORMED_SOLUTIONS.values(), ids=MALFORMED_SOLUTIONS.keys()
+    )
+    def test_solution(self, tmp_path, capsys, instance_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError):
+            read_solution(path)
+        code = main([
+            "check", str(instance_path), "--w-source", "file", "--monitors", "kkt",
+            "--w-file", str(path),
+        ])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_trace_not_ascii(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"iter,objective\xc3\xa9\n")
+        with pytest.raises(InputError):
+            read_trace(path)
+
+    def test_trace_row_not_numeric(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns\n0,x,1,1,1,1,0\n"
+        )
+        with pytest.raises(InputError):
+            read_trace(path)
+
+
 class TestTraceAndSolutionFiles:
     def test_trace_round_trip(self, tmp_path, instance_path):
         result, _ = run_experiment(

@@ -7,6 +7,8 @@ import pytest
 
 from cmop import (
     ProblemInstance,
+    kkt_check,
+    run_solver,
     RowBall,
     SolverConfig,
     active_set_oracle,
@@ -30,6 +32,8 @@ from cmop.solvers import (
     STOP_GRAD_MAP,
     STOP_KKT,
     STOP_MAX_ITER,
+    _project_stacked,
+    _stack_real,
 )
 from helpers import make_instance, random_w, zero_w
 
@@ -306,6 +310,70 @@ class TestRealAugmentedMirror:
         a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         b = real_augmented_pgd(inst, zero_w(inst), ball, cfg, pre=pre)
         assert b.trace[0].flops >= a.trace[0].flops
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestStackedProjection:
+    """The real-stacked projection must reproduce project_rows bit for bit,
+    so the shared loop gives the mirror the same iterates as pgd_solve."""
+
+    def _assert_mirrors(self, w, ball):
+        n = w.shape[0]
+        stacked = _project_stacked(_stack_real(w), n, ball)
+        expected = _stack_real(project_rows(w, ball))
+        assert np.array_equal(_bits(stacked), _bits(expected))
+
+    def test_random_rows_inside_and_far_outside(self):
+        rng = np.random.default_rng(61)
+        ball = RowBall.for_power_budget(2.0)
+        w = random_w(rng, n=6, k=5, scale=1.0)
+        w[::2] *= 50.0  # every other row far outside the ball
+        assert not is_feasible(w, ball)
+        self._assert_mirrors(w, ball)
+
+    def test_rows_on_and_within_band_of_boundary(self):
+        ball = RowBall.for_power_budget(2.0)
+        r = ball.radius
+        w = np.zeros((4, 3), dtype=np.complex128)
+        w[0, 0] = r  # exactly on the boundary
+        w[1, 0] = np.nextafter(np.nextafter(r, np.inf), np.inf)  # inside the band
+        w[2, 1] = 1j * r * (1.0 + 1e-9)  # just beyond the band
+        w[3] = [0.5 + 0.25j, -0.75j, 0.1]  # strictly inside
+        self._assert_mirrors(w, ball)
+
+    def test_single_column(self):
+        rng = np.random.default_rng(62)
+        ball = RowBall.for_power_budget(0.5)
+        self._assert_mirrors(random_w(rng, n=7, k=1, scale=2.0), ball)
+
+
+class TestZeroData:
+    """A = 0 makes B = 0: every method must stop at W = 0 with objective 0,
+    and the KKT scorer judges stationarity absolutely when ||B||_F = 0."""
+
+    @pytest.fixture
+    def inst(self):
+        h = make_instance(71).h
+        return ProblemInstance(h=h, a=np.zeros((h.shape[0], 8), dtype=complex), eta=2.0)
+
+    @pytest.mark.parametrize("method", ["gd", "pgd", "real-augmented", "closed", "oracle"])
+    def test_every_method_returns_zero(self, inst, method):
+        pre = precompute(inst)
+        res = run_solver(inst, pre, method, SolverConfig(alpha="f0.9", tau=1e-14))
+        assert res.objective == 0.0
+        assert res.converged
+        assert not np.any(res.w_final)
+        assert kkt_check(pre, inst, res.w_final).passed
+
+    def test_stationarity_is_absolute_without_data(self, inst):
+        pre = precompute(inst)
+        w = np.full((inst.n, inst.k), 0.1 + 0.1j)
+        report = kkt_check(pre, inst, w)
+        assert report.stationarity_residual == frob_norm(pre.g @ w)
+        assert not report.passed
 
 
 class TestActiveSetOracle:
