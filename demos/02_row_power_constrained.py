@@ -1,10 +1,9 @@
-"""Row-power-constrained least squares: projected descent, the exhaustive
-active-set solution, the optimality certificate, and the real-stacked
-mirror.
+"""Row-power-constrained least squares: projected descent, the exact dual
+solution, the optimality certificate, and the real-stacked mirror.
 
 The feasible set caps every row of W at squared norm eta. Projected
 gradient descent with a step inside (0, 1/L) converges to the constrained
-optimum; the active-set enumeration provides an independent exact answer,
+optimum; the dual oracle provides an independent exact answer,
 and the multiplier-recovery check certifies the iterate. The same
 iteration carried out on stacked real/imaginary parts reproduces the
 complex iterates to the last bits.
@@ -38,7 +37,7 @@ print(f"row squared norms (budget {inst.eta}): {np.round(row_sq_norms(res.w_fina
 
 orc = active_set_oracle(pre, inst)
 gap = abs(res.objective - orc.objective) / orc.objective
-print(f"\nactive-set enumeration: objective {orc.objective:.8f} "
+print(f"\ndual oracle ({orc.iterations} factorizations): objective {orc.objective:.8f} "
       f"(relative gap to the iterative run {gap:.1e})")
 
 rep = kkt_check(pre, inst, res.w_final)

@@ -2,9 +2,9 @@
 
 Unconstrained: closed form and fixed-step gradient descent. Row-power
 constrained: projected gradient descent, a real-stacked mirror of it, and
-an exhaustive active-set oracle. A diagnostics layer certifies every
-convergence inequality and optimality condition the solvers rely on, and a
-small harness generates instances, runs experiments, and exports traces.
+an exact dual oracle. A diagnostics layer certifies every convergence
+inequality and optimality condition the solvers rely on, and a small
+harness generates instances, runs experiments, and exports traces.
 """
 
 from .cmat import (
@@ -33,7 +33,6 @@ from .errors import (
     ContractError,
     DegenerateRowError,
     DimensionError,
-    EnumerationGuardError,
     EstimationError,
     InputError,
     OracleError,

@@ -245,7 +245,8 @@ def monitor_lipschitz(
     checks = []
     for i in range(samples):
         d = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
-        num = float(np.vdot(h @ d, h @ d).real)
+        hd = h @ d
+        num = float(np.vdot(hd, hd).real)
         den = float(np.vdot(d, d).real)
         checks.append((i, bound, num / den, 0.0))
     return _build_report(MONITOR_LIPSCHITZ, checks)

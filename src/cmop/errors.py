@@ -29,15 +29,11 @@ class EstimationError(CmopError, RuntimeError):
     """Spectral estimation failed after the allowed restarts."""
 
 
-class EnumerationGuardError(CmopError, ValueError):
-    """Problem too large for exhaustive active-set enumeration."""
-
-
 class OracleError(CmopError, RuntimeError):
-    """No enumerated active set satisfied the optimality conditions.
+    """The dual oracle's result failed its optimality certificate.
 
-    Carries the best candidate seen so the caller can inspect how close
-    the enumeration got.
+    Carries the last primal point, multipliers and scaled residuals so the
+    caller can inspect how close the ascent got.
     """
 
     def __init__(self, message, best_w=None, best_lambda=None, best_residuals=None):

@@ -36,7 +36,6 @@ from .cmat import cmatrix, uniform_cmatrix
 from .errors import (
     CmopError,
     ConfigError,
-    EnumerationGuardError,
     InputError,
 )
 from .objective import (
@@ -439,8 +438,7 @@ def run_check(
     """Run the requested certifiers and write their reports.
 
     Returns (all_passed, report_lines). thm3 needs the constrained optimum,
-    produced internally by the active-set enumeration; on instances too
-    large for it the error explains how to proceed.
+    produced internally by the dual oracle.
     """
     if not monitors:
         raise InputError("no monitors requested")
@@ -467,15 +465,7 @@ def run_check(
         if tag == "thm2":
             reports.append(diagnostics.monitor_thm2(result.trace, resolved, pre.lipschitz))
         elif tag == "thm3":
-            try:
-                w_opt = active_set_oracle(pre, instance).w_final
-            except EnumerationGuardError as exc:
-                raise InputError(
-                    "the thm3 monitors need the constrained optimum W*, which the "
-                    "active-set enumeration cannot produce here: "
-                    f"{exc}. Solve a smaller instance, or certify the iterate "
-                    "with the kkt monitor instead."
-                ) from exc
+            w_opt = active_set_oracle(pre, instance).w_final
             reports.extend(
                 diagnostics.monitor_thm3(
                     result.trace, result.iterates, w_opt, resolved, pre.lipschitz

@@ -65,8 +65,13 @@ def project_rows(w: ComplexMatrix, ball: RowBall) -> ComplexMatrix:
     mask = (ell - r) > _BOUNDARY_BAND
     if not np.any(mask):
         return w.copy()
-    out = w.copy()
-    out[mask] = w[mask] * (r / ell[mask])[:, None]
+    # Integer input would be truncated to integers; scale it as floats.
+    out = w.copy() if w.dtype.kind in "fc" else w.astype(np.float64)
+    # Scale the real and imaginary parts as reals (a complex factor would
+    # turn a -0.0 real part into +0.0); rows left alone are multiplied by
+    # exactly 1.0, which keeps their bits.
+    parts = out.view(out.real.dtype)
+    parts *= np.where(mask, r / np.maximum(ell, r), 1.0)[:, None]
     return out
 
 

@@ -180,7 +180,7 @@ def test_c06_kkt_certification():
             worst_gap, abs(res.objective - orc.objective) / abs(orc.objective)
         )
     report(
-        "C6 KKT certification + enumeration agreement (20 seeds, 1e-6 / 1e-8)",
+        "C6 KKT certification + oracle agreement (20 seeds, 1e-6 / 1e-8)",
         all_passed and worst_gap <= 1e-8,
         f"kkt all passed={all_passed}, worst objective gap {worst_gap:.3e}",
     )

@@ -284,11 +284,22 @@ class TestRunCheck:
         with pytest.raises(InputError):
             run_check(instance_path, w_source="pgd", monitors=[])
 
-    def test_oracle_unavailable_explained(self, tmp_path):
+    def test_thm3_beyond_enumeration_size(self, tmp_path, capsys):
+        """N = 13 was past the old 2^N enumeration's cap; the dual oracle
+        supplies W* and every thm3 and kkt line passes."""
         path = tmp_path / "wide.json"
         write_instance(gen_instance(m=14, n=13, k=2, seed=1), path)
-        with pytest.raises(InputError, match="W\\*"):
-            run_check(path, w_source="pgd", monitors=["thm3"])
+        report = tmp_path / "r.txt"
+        assert main([
+            "check", str(path), "--w-source", "pgd", "--monitors", "thm3,kkt",
+            "--alpha", "f0.9", "--tau", "1e-14", "--max-iter", "200000",
+            "--report", str(report),
+        ]) == EXIT_OK
+        capsys.readouterr()
+        lines = report.read_text().splitlines()
+        assert any(line.startswith("monitor thm3") for line in lines)
+        assert any(line.startswith("kkt passed") for line in lines)
+        assert not any("FAILED" in line or line.startswith("violation") for line in lines)
 
     def test_file_source_kkt(self, tmp_path, instance_path):
         res, _ = run_experiment(

@@ -31,6 +31,11 @@ class TestProjectRows:
         out = project_rows(w, RowBall(2.0))
         assert np.allclose(out, [[2.0, 0.0], [0.0, 1.0]], atol=1e-15)
 
+    def test_integer_input_scaled_as_floats(self):
+        out = project_rows(np.array([[3, 4], [0, 1]]), RowBall(1.0))
+        assert out.dtype == np.float64
+        assert np.allclose(out, [[0.6, 0.8], [0.0, 1.0]], atol=1e-15)
+
     def test_feasible_input_unchanged_bitwise(self):
         rng = np.random.default_rng(31)
         ball = RowBall(np.sqrt(2.0))

@@ -1,5 +1,5 @@
 """Solvers: step-size policies, descent/projected descent against their
-closed-form and enumeration oracles, real-stacked mirror equivalence, and
+closed-form and dual oracles, real-stacked mirror equivalence, and
 the flop accounting contract."""
 
 import numpy as np
@@ -25,7 +25,7 @@ from cmop import (
     resolve_alpha,
     row_sq_norms,
 )
-from cmop.errors import ConfigError, EnumerationGuardError, InputError
+from cmop.errors import ConfigError, InputError
 from cmop.solvers import (
     STOP_DECREASE,
     STOP_DIVERGED,
@@ -349,6 +349,11 @@ class TestStackedProjection:
         ball = RowBall.for_power_budget(0.5)
         self._assert_mirrors(random_w(rng, n=7, k=1, scale=2.0), ball)
 
+    def test_negative_zero_real_part_keeps_its_sign(self):
+        w = np.array([[complex(-0.0, -3.0), 2.0 + 1.0j]])
+        self._assert_mirrors(w, RowBall(1.0))
+        assert np.signbit(project_rows(w, RowBall(1.0))[0, 0].real)
+
 
 class TestZeroData:
     """A = 0 makes B = 0: every method must stop at W = 0 with objective 0,
@@ -425,11 +430,21 @@ class TestActiveSetOracle:
         res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         assert abs(res.objective - orc.objective) <= 1e-8 * abs(orc.objective)
 
-    def test_enumeration_guard(self):
-        inst = make_instance(15, m=14, n=13, k=2)
+    @pytest.mark.parametrize("m, n, k, eta", [(14, 13, 2, 2.0), (40, 32, 4, 0.01)])
+    def test_certified_beyond_enumeration_sizes(self, m, n, k, eta):
+        """N = 13 was past the old 2^N enumeration's cap; N = 32 with every
+        row on the boundary would need 2^32 candidate systems."""
+        inst = make_instance(15, m=m, n=n, k=k, eta=eta)
         pre = precompute(inst)
-        with pytest.raises(EnumerationGuardError):
-            active_set_oracle(pre, inst)
+        orc = active_set_oracle(pre, inst)
+        assert orc.converged and orc.stop_reason == STOP_KKT
+        report = kkt_check(pre, inst, orc.w_final)
+        assert report.passed
+        assert np.any(report.lambda_hat > 0.0)
+        ball = RowBall.for_power_budget(inst.eta)
+        cfg = SolverConfig(alpha="f0.9", tau=1e-14, max_iter=20_000, record_trace=False)
+        pgd = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
+        assert orc.objective <= evaluate(pre, inst, pgd.w_final) * (1.0 + 1e-12)
 
 
 class TestFlopAccounting:
