@@ -25,8 +25,8 @@ from cmop import (
 inst = instance_from_document(gen_instance(seed=7))
 pre = precompute(inst)
 print(f"instance: H {inst.m}x{inst.n}, A {inst.m}x{inst.k}")
-print(f"smoothness constant L = lambda_max(H^H H) ~ {pre.lipschitz:.2f} "
-      f"(power iteration, resolution {pre.lipschitz_tol:.1e})")
+print(f"smoothness constant L = lambda_max(H^H H) = {pre.lipschitz:.2f} "
+      "(dense Hermitian eigensolve)")
 
 w_star = closed_form_unconstrained(pre)
 f_star = evaluate(pre, inst, w_star)

@@ -49,7 +49,7 @@ print(f"  complementarity        {rep.complementarity:.2e}")
 print(f"  recovered multipliers  {np.round(rep.lambda_hat, 6)}")
 print(f"  passed: {rep.passed}")
 
-mirror = real_augmented_pgd(inst, w0, ball, cfg, pre=pre)
+mirror = real_augmented_pgd(pre, inst, w0, ball, cfg)
 shared = min(len(res.iterates), len(mirror.iterates))
 worst = max(
     float(np.max(np.abs(wa - wb)))

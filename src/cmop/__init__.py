@@ -33,7 +33,6 @@ from .errors import (
     ContractError,
     DegenerateRowError,
     DimensionError,
-    EstimationError,
     InputError,
     OracleError,
     SingularSystemError,

@@ -228,9 +228,9 @@ def monitor_lipschitz(
     lipschitz: float,
     samples: int,
     seed: int,
-    cols: int = 1,
 ) -> MonitorReport:
-    """Probe ||H D||_F^2 <= L ||D||_F^2 with seeded random directions D.
+    """Probe ||H d||^2 <= L ||d||^2 with seeded random complex directions d
+    (N x 1).
 
     Each check compares the bound L (1 + 1e-8) against the observed
     Rayleigh ratio, so the report's worst_slack recovers the tightest ratio
@@ -244,7 +244,7 @@ def monitor_lipschitz(
     bound = lipschitz * (1.0 + 1e-8)
     checks = []
     for i in range(samples):
-        d = rng.standard_normal((n, cols)) + 1j * rng.standard_normal((n, cols))
+        d = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
         hd = h @ d
         num = float(np.vdot(hd, hd).real)
         den = float(np.vdot(d, d).real)
@@ -258,17 +258,17 @@ def monitor_lemma4(
     k: int,
     samples: int,
     seed: int,
-    v_scale: float | None = None,
+    v_scale: float,
 ) -> MonitorReport:
     """Monte-Carlo check of the projection's variational inequality.
 
-    Draws ``samples`` pre-projection points V and feasible probes W, and
-    requires Re<P(V) - W, V - P(V)> >= -1e-10 on every triple.
+    Draws ``samples`` pre-projection points V and probes (projected to be
+    feasible) W with entries uniform in real and imaginary part over
+    [-v_scale, v_scale], and requires Re<P(V) - W, V - P(V)> >= -1e-10 on
+    every triple.
     """
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
-    if v_scale is None:
-        v_scale = 4.0 * ball.radius
     rng = np.random.default_rng(seed)
     checks = []
     for i in range(samples):

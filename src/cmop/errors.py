@@ -25,10 +25,6 @@ class SingularSystemError(CmopError, RuntimeError):
     """A linear solve failed or left a residual above the trust threshold."""
 
 
-class EstimationError(CmopError, RuntimeError):
-    """Spectral estimation failed after the allowed restarts."""
-
-
 class OracleError(CmopError, RuntimeError):
     """The dual oracle's result failed its optimality certificate.
 

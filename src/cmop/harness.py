@@ -314,7 +314,7 @@ def run_solver(
         ball = RowBall.for_power_budget(instance.eta, radius_is_eta)
         if method == "pgd":
             return pgd_solve(pre, instance, w0, ball, config)
-        return real_augmented_pgd(instance, w0, ball, config, pre=pre)
+        return real_augmented_pgd(pre, instance, w0, ball, config)
     if method == "closed":
         w = closed_form_unconstrained(pre)
         return SolveResult(

@@ -1,8 +1,8 @@
 """The half-squared-residual objective F(W) = 1/2 ||H W - A||_F^2.
 
 Provides the problem container, cached normal-equation data (G = H^H H,
-B = H^H A) with a power-iteration estimate of the largest eigenvalue of G
-(the smoothness constant L), the analytic gradient G W - B, a central
+B = H^H A) with the largest eigenvalue of G (the smoothness constant L)
+from a dense Hermitian eigensolve, the analytic gradient G W - B, a central
 finite-difference gradient oracle built from the real and imaginary parts
 separately, and the unconstrained closed-form solution.
 """
@@ -23,14 +23,9 @@ from .cmat import (
 from .errors import (
     ConfigError,
     DimensionError,
-    EstimationError,
     InputError,
     SingularSystemError,
 )
-
-# Fixed seed for the power-iteration start vectors: spectral estimation must
-# be a deterministic function of the instance.
-_POWER_SEED = 0x5EEDC0DE
 
 # Relative residual above which the normal-equation solve is not trusted.
 _SOLVE_RESIDUAL_TOL = 1e-9
@@ -83,69 +78,27 @@ class ProblemInstance:
 class Precomputed:
     """Cached normal-equation data for an instance.
 
-    g is H^H H (Hermitian PSD), b is H^H A, ``lipschitz`` the power-iteration
-    estimate of the largest eigenvalue of g, and ``lipschitz_tol`` the last
-    observed relative Rayleigh-quotient gap (the estimate's resolution).
+    g is H^H H (Hermitian PSD), b is H^H A and ``lipschitz`` the largest
+    eigenvalue of g, computed by ``np.linalg.eigvalsh``.
     """
 
     g: ComplexMatrix
     b: ComplexMatrix
     lipschitz: float
-    lipschitz_tol: float
 
 
-def precompute(
-    instance: ProblemInstance,
-    power_tol: float = 1e-10,
-    power_max_iter: int = 10000,
-) -> Precomputed:
-    """Form G = H^H H and B = H^H A and estimate L = lambda_max(G).
+def precompute(instance: ProblemInstance) -> Precomputed:
+    """Form G = H^H H and B = H^H A and compute L = lambda_max(G).
 
-    The estimate runs power iteration on G from a seeded random start and
-    stops once successive Rayleigh quotients agree to ``power_tol``
-    relative, or after ``power_max_iter`` steps (the last observed gap is
-    then reported in ``lipschitz_tol``). A start that lands in the null
-    space of G is retried with a fresh seeded vector, up to 3 restarts.
+    L comes from a dense Hermitian eigensolve of G, exact to rounding, so
+    steps resolved as fractions of 2/L or 1/L stay inside the guaranteed
+    intervals. A top eigenvalue that rounds below zero (G = 0) is clamped
+    to 0.
     """
-    if not power_tol > 0.0:
-        raise ConfigError(f"power_tol must be positive, got {power_tol}")
     g = adjoint_product(instance.h, instance.h)
     b = adjoint_product(instance.h, instance.a)
-    lipschitz, gap = _power_iteration_largest_eig(g, power_tol, power_max_iter)
-    return Precomputed(g=g, b=b, lipschitz=lipschitz, lipschitz_tol=gap)
-
-
-def _power_iteration_largest_eig(g, tol, max_iter):
-    """Largest eigenvalue of a Hermitian PSD matrix by power iteration."""
-    n = g.shape[0]
-    scale = float(np.linalg.norm(g))
-    null_thresh = 1e-14 * max(scale, np.finfo(float).tiny)
-    rng = np.random.default_rng(_POWER_SEED)
-    for _attempt in range(4):  # initial start plus up to 3 restarts
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = v / np.linalg.norm(v)
-        gv = g @ v
-        if np.linalg.norm(gv) <= null_thresh:
-            continue
-        rho = float(np.vdot(v, gv).real)
-        gap = np.inf
-        for _ in range(max_iter):
-            norm_gv = np.linalg.norm(gv)
-            if norm_gv <= null_thresh:
-                break  # collapsed into the null space; restart
-            v = gv / norm_gv
-            gv = g @ v
-            rho_new = float(np.vdot(v, gv).real)
-            gap = abs(rho_new - rho) / max(abs(rho_new), np.finfo(float).tiny)
-            rho = rho_new
-            if gap < tol:
-                return max(rho, 0.0), gap
-        else:
-            # Iteration budget exhausted: return the estimate, report the gap.
-            return max(rho, 0.0), gap
-    raise EstimationError(
-        "power iteration could not leave the null space of H^H H after 3 restarts"
-    )
+    lipschitz = max(float(np.linalg.eigvalsh(g)[-1]), 0.0)
+    return Precomputed(g=g, b=b, lipschitz=lipschitz)
 
 
 def _check_w_shape(w, n, k):

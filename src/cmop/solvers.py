@@ -40,13 +40,11 @@ from .objective import (
     ProblemInstance,
     _check_w_shape,
     _residual_objective,
-    precompute,
     quad_objective_constant,
 )
 from .projection import _BOUNDARY_BAND, RowBall, project_rows
 
 STOP_DECREASE = "decrease-below-tau"
-STOP_GRAD_MAP = "grad-map-below-tol"
 STOP_MAX_ITER = "max-iter"
 STOP_DIVERGED = "diverged"
 STOP_KKT = "kkt-certified"
@@ -62,18 +60,15 @@ class SolverConfig:
     ``alpha`` is either a positive float (fixed step) or a string ``f<frac>``
     with frac in (0, 1), resolved as that fraction of the mode's guaranteed
     step interval: (0, 2/L) for plain descent, (0, 1/L) for the projected
-    method. ``tau`` is the primary stopping tolerance on the per-iteration
-    objective decrease. ``grad_map_tol`` enables a secondary stop on
-    ||W^t - W^{t+1}||_F / alpha when positive (0 disables it).
-    ``time_iterations`` opts into wall-clock timing per iteration; it is off
-    by default so traces are bit-reproducible.
+    method. ``tau`` is the stopping tolerance on the per-iteration
+    objective decrease. ``time_iterations`` opts into wall-clock timing per
+    iteration; it is off by default so traces are bit-reproducible.
     """
 
     alpha: float | str
     tau: float = 1e-12
     max_iter: int = 100_000
     record_trace: bool = True
-    grad_map_tol: float = 0.0
     record_iterates: bool = False
     time_iterations: bool = False
 
@@ -82,8 +77,6 @@ class SolverConfig:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.grad_map_tol < 0.0:
-            raise ConfigError(f"grad_map_tol must be >= 0, got {self.grad_map_tol}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -228,15 +221,12 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         if decrease < config.tau:
             stop_reason = STOP_DECREASE
             break
-        if config.grad_map_tol > 0.0 and step_norm / alpha < config.grad_map_tol:
-            stop_reason = STOP_GRAD_MAP
-            break
 
     return SolveResult(
         w_final=to_complex(w),
         objective=f,
         iterations=iterations,
-        converged=stop_reason in (STOP_DECREASE, STOP_GRAD_MAP),
+        converged=stop_reason == STOP_DECREASE,
         stop_reason=stop_reason,
         trace=trace,
         iterates=iterates,
@@ -266,9 +256,8 @@ def gd_solve(
     """Fixed-step gradient descent W <- W - alpha (G W - B).
 
     Converges to the unconstrained optimum for alpha in (0, 2/L). Stops when
-    the objective decrease falls below tau, on the optional gradient-map
-    rule, at max_iter, or on divergence (objective above 1e6 times its
-    initial value, or non-finite).
+    the objective decrease falls below tau, at max_iter, or on divergence
+    (objective above 1e6 times its initial value, or non-finite).
     """
     return _complex_loop(pre, instance, w0, config, ball=None, mode="gd")
 
@@ -284,8 +273,7 @@ def pgd_solve(
 
     w0 is projected on entry if infeasible, so every iterate is feasible.
     Convergence is guaranteed for alpha in (0, 1/L); the stopping rules
-    match gd_solve, with the gradient-map rule reading
-    ||W^t - W^{t+1}||_F / alpha.
+    match gd_solve.
     """
     return _complex_loop(pre, instance, w0, config, ball=ball, mode="pgd")
 
@@ -316,11 +304,11 @@ def _project_stacked(u, n, ball):
 
 
 def real_augmented_pgd(
+    pre: Precomputed,
     instance: ProblemInstance,
     w0: ComplexMatrix,
     ball: RowBall,
     config: SolverConfig,
-    pre: Precomputed | None = None,
 ) -> SolveResult:
     """Projected gradient descent on the stacked real representation.
 
@@ -329,13 +317,10 @@ def real_augmented_pgd(
     doubled dimension. It runs the same loop as ``pgd_solve`` on that data,
     so iterates map back to the complex ones up to floating-point
     reordering. ``pre`` is only used to resolve fraction step policies
-    against the same spectral estimate as the complex route (it is computed
-    from the instance when omitted).
+    against the same L as the complex route.
     """
     n, k = instance.n, instance.k
     w0 = cmatrix(_check_w_shape(w0, n, k))
-    if pre is None:
-        pre = precompute(instance)
     alpha = resolve_alpha(config, pre.lipschitz, "pgd")
 
     h = instance.h
@@ -363,6 +348,10 @@ _MAX_HALVINGS = 40
 # relative to that entry.
 _SINGULAR_PIVOT = 1e-10
 _PROX_WEIGHT = 1e-3
+# Certificate tolerance on the scaled residuals, and the budget of Cholesky
+# factorizations per oracle call.
+_ORACLE_TOL = 1e-10
+_ORACLE_BUDGET = 200
 
 
 def kkt_residuals_for(pre, instance, w, lam):
@@ -488,12 +477,7 @@ def _scaled_residuals(pre, instance, w, lam):
     return res
 
 
-def active_set_oracle(
-    pre: Precomputed,
-    instance: ProblemInstance,
-    inner_tol: float = 1e-10,
-    inner_max_iter: int = 200,
-) -> SolveResult:
+def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResult:
     """Exact solver for the row-power-constrained problem by projected
     Newton ascent on its concave Lagrange dual over lambda >= 0.
 
@@ -504,7 +488,7 @@ def active_set_oracle(
     system on the free set {lambda > 0} or {gradient > 0} (see
     ``_dual_ascent``) at the cost of one Cholesky factorization per trial
     point; ``iterations`` returns the number of factorizations, at most
-    ``inner_max_iter``.
+    ``_ORACLE_BUDGET``.
 
     A numerically singular G (N > M, or dependent columns of H) leaves the
     dual non-smooth where the multipliers of the rows spanning its null
@@ -515,13 +499,9 @@ def active_set_oracle(
 
     The result is certified before it is returned: the four optimality
     residuals at (W, lambda), primal divided by eta and complementarity by
-    eta max(1, max lambda), must all be <= ``inner_tol``; otherwise
+    eta max(1, max lambda), must all be <= ``_ORACLE_TOL``; otherwise
     ``OracleError`` carries the last W, lambda and residuals.
     """
-    if not inner_tol > 0.0:
-        raise ConfigError(f"inner_tol must be positive, got {inner_tol}")
-    if inner_max_iter < 1:
-        raise ConfigError(f"inner_max_iter must be >= 1, got {inner_max_iter}")
     eta = instance.eta
     lam = np.zeros(pre.b.shape[0])
     top = max(float(np.max(np.real(np.diag(pre.g)))), np.finfo(float).tiny)
@@ -529,7 +509,7 @@ def active_set_oracle(
     factorizations = 1
     if point is not None:
         lam, point, used = _dual_ascent(
-            pre.g, pre.b, eta, lam, point, inner_tol, inner_max_iter - factorizations
+            pre.g, pre.b, eta, lam, point, _ORACLE_TOL, _ORACLE_BUDGET - factorizations
         )
         factorizations += used
         w = point[0]
@@ -547,18 +527,18 @@ def active_set_oracle(
             # Inner solves tighter than the certificate, so the proximal
             # steps and not their rounding decide when W_j is optimal.
             lam, point, used = _dual_ascent(
-                g, b, eta, lam, point, 1e-2 * inner_tol, inner_max_iter - factorizations
+                g, b, eta, lam, point, 1e-2 * _ORACLE_TOL, _ORACLE_BUDGET - factorizations
             )
             factorizations += used
             w = point[0]
             res = _scaled_residuals(pre, instance, w, lam)
-            if max(res.values()) <= inner_tol or factorizations >= inner_max_iter:
+            if max(res.values()) <= _ORACLE_TOL or factorizations >= _ORACLE_BUDGET:
                 break
 
-    if max(res.values()) > inner_tol:
+    if max(res.values()) > _ORACLE_TOL:
         raise OracleError(
             f"the dual ascent stopped after {factorizations} factorizations without "
-            f"meeting the optimality conditions within {inner_tol:g}; residuals: {res}",
+            f"meeting the optimality conditions within {_ORACLE_TOL:g}; residuals: {res}",
             best_w=w,
             best_lambda=lam,
             best_residuals=res,

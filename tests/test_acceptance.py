@@ -196,7 +196,7 @@ def test_c07_real_stacked_mirror():
             record_trace=False, record_iterates=True,
         )
         a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
-        b = real_augmented_pgd(inst, zero_w(inst), ball, cfg, pre=pre)
+        b = real_augmented_pgd(pre, inst, zero_w(inst), ball, cfg)
         assert len(a.iterates) == len(b.iterates) == 101
         for wa, wb in zip(a.iterates, b.iterates):
             worst = max(worst, float(np.max(np.abs(wa - wb))))

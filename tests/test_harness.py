@@ -400,6 +400,19 @@ class TestCli:
         assert code == EXIT_OK
         assert (tmp_path / "sw" / "summary.csv").exists()
 
+    @pytest.mark.parametrize("method", ["gd", "pgd", "real-augmented", "closed", "oracle"])
+    def test_zero_h_is_a_one_line_input_error(self, tmp_path, capsys, method):
+        # L = 0: no step can be resolved and G is singular.
+        doc = gen_instance(m=3, n=2, k=2, seed=0)
+        doc["h_re"] = doc["h_im"] = [[0.0, 0.0]] * 3
+        inst = tmp_path / "zero.json"
+        write_instance(doc, inst)
+        code = main(["solve", str(inst), "--method", method])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMOP_SEED", "77")
         assert default_seed() == 77

@@ -29,7 +29,6 @@ from cmop.errors import ConfigError, InputError
 from cmop.solvers import (
     STOP_DECREASE,
     STOP_DIVERGED,
-    STOP_GRAD_MAP,
     STOP_KKT,
     STOP_MAX_ITER,
     _project_stacked,
@@ -44,8 +43,6 @@ class TestSolverConfig:
             SolverConfig(alpha=0.1, tau=0.0)
         with pytest.raises(ConfigError):
             SolverConfig(alpha=0.1, max_iter=0)
-        with pytest.raises(ConfigError):
-            SolverConfig(alpha=0.1, grad_map_tol=-1.0)
 
 
 class TestResolveAlpha:
@@ -166,15 +163,6 @@ class TestGdSolve:
         with pytest.raises(InputError):
             gd_solve(pre, inst, w0, SolverConfig(alpha="f0.5"))
 
-    def test_grad_map_secondary_stop(self):
-        inst = make_instance(3)
-        pre = precompute(inst)
-        cfg = SolverConfig(
-            alpha="f0.5", tau=1e-300, max_iter=200_000, grad_map_tol=1e-3
-        )
-        res = gd_solve(pre, inst, zero_w(inst), cfg)
-        assert res.converged and res.stop_reason == STOP_GRAD_MAP
-
     def test_max_iter_stop(self):
         inst = make_instance(4)
         pre = precompute(inst)
@@ -287,7 +275,7 @@ class TestRealAugmentedMirror:
                 record_iterates=True,
             )
             a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
-            b = real_augmented_pgd(inst, zero_w(inst), ball, cfg, pre=pre)
+            b = real_augmented_pgd(pre, inst, zero_w(inst), ball, cfg)
             assert len(a.iterates) == len(b.iterates)
             for wa, wb in zip(a.iterates, b.iterates):
                 assert np.max(np.abs(wa - wb)) <= 1e-12
@@ -298,7 +286,7 @@ class TestRealAugmentedMirror:
         inst = ProblemInstance(h=np.eye(4, dtype=complex), a=a, eta=2.0)
         ball = RowBall.for_power_budget(inst.eta)
         cfg = SolverConfig(alpha="f0.9", tau=1e-14, max_iter=100_000)
-        res = real_augmented_pgd(inst, zero_w(inst), ball, cfg)
+        res = real_augmented_pgd(precompute(inst), inst, zero_w(inst), ball, cfg)
         expected = project_rows(a, ball)
         assert frob_norm(res.w_final - expected) <= 1e-8
 
@@ -308,7 +296,7 @@ class TestRealAugmentedMirror:
         ball = RowBall.for_power_budget(inst.eta)
         cfg = SolverConfig(alpha="f0.9", tau=1e-12, max_iter=50)
         a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
-        b = real_augmented_pgd(inst, zero_w(inst), ball, cfg, pre=pre)
+        b = real_augmented_pgd(pre, inst, zero_w(inst), ball, cfg)
         assert b.trace[0].flops >= a.trace[0].flops
 
 
@@ -467,4 +455,4 @@ class TestFlopAccounting:
         pre = precompute(inst)
         res = gd_solve(pre, inst, zero_w(inst), SolverConfig(alpha="f0.5", tau=1e-10))
         assert res.converged
-        assert res.stop_reason in (STOP_DECREASE, STOP_GRAD_MAP, STOP_KKT)
+        assert res.stop_reason in (STOP_DECREASE, STOP_KKT)

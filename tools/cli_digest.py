@@ -27,9 +27,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cmop.cli import main  # noqa: E402
 
 # (tag, gen arguments): paper-scale instances with about one active row,
-# plus an instance whose tight budget makes most rows active.
+# an instance whose tight budget makes most rows active, and one with N > M,
+# whose singular G reaches the closed form and the oracle's proximal path.
 INSTANCES = tuple((f"p{seed}", ["--seed", str(seed)]) for seed in range(5)) + (
     ("c0", ["--seed", "0", "--m", "16", "--n", "8", "--k", "8", "--eta", "0.01"]),
+    ("r0", ["--seed", "0", "--m", "4", "--n", "6", "--eta", "0.01"]),
 )
 SWEEP_ALPHAS = "f0.3,f0.9,fbad"
 TAU = "1e-14"
