@@ -8,6 +8,8 @@ Vectors of row norms, multipliers etc. are ``numpy.float64`` arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, InputError
@@ -16,6 +18,10 @@ from .errors import DimensionError, InputError
 # 2-D complex128 ndarray; a RealVector is a finite 1-D float64 ndarray.
 ComplexMatrix = np.ndarray
 RealVector = np.ndarray
+
+# Matrices per random call in uniform_cmatrix: a block of the
+# sample monitors (32 samples of two matrices) is one call.
+_DRAW_BLOCK = 64
 
 
 def cmatrix(data) -> ComplexMatrix:
@@ -43,18 +49,24 @@ def rvector(data) -> RealVector:
     return v
 
 
-def re_frob_inner(x: ComplexMatrix, y: ComplexMatrix) -> float:
+def re_frob_inner(x: ComplexMatrix, y: ComplexMatrix) -> float | RealVector:
     """Real part of the Frobenius inner product, Re(trace(x^H y)).
 
     Equals sum_ij [Re(x_ij)Re(y_ij) + Im(x_ij)Im(y_ij)]; symmetric in its
     arguments and bilinear over real scalars. This is the inner product
     under which the complex matrix space behaves as a real vector space.
+
+    Leading axes are a stack of matrices: ``(*lead, N, K)`` inputs give one
+    inner product per matrix, shape ``lead``; a 2-D pair gives a float.
+    Each value is the same conjugated dot product ``np.vdot`` computes.
     """
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
         raise DimensionError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.vdot(x, y).real)
+    lead = x.shape[:-2]
+    out = np.vecdot(x.reshape(*lead, -1), y.reshape(*lead, -1)).real
+    return out if lead else float(out)
 
 
 def frob_norm(x: ComplexMatrix) -> float:
@@ -64,17 +76,37 @@ def frob_norm(x: ComplexMatrix) -> float:
 
 
 def row_sq_norms(w: ComplexMatrix) -> RealVector:
-    """Squared Euclidean norm of each row: entry n is sum_k |w[n,k]|^2."""
+    """Squared Euclidean norm of each row: entry n is sum_k |w[n,k]|^2.
+
+    A ``(*lead, N, K)`` stack gives shape ``(*lead, N)``. The sums run over
+    contiguous copies of the real and imaginary parts, so each matrix of a
+    stack gets the same bits as a 2-D call on it.
+    """
     w = np.asarray(w)
     re = np.ascontiguousarray(w.real)
     im = np.ascontiguousarray(w.imag)
-    return np.einsum("ij,ij->i", re, re) + np.einsum("ij,ij->i", im, im)
+    return np.einsum("...j,...j->...", re, re) + np.einsum("...j,...j->...", im, im)
 
 
 def uniform_cmatrix(rng: np.random.Generator, scale: float, shape) -> ComplexMatrix:
-    """Random matrix whose real parts, then imaginary parts, are drawn
-    uniformly from [-scale, scale] by ``rng``."""
-    return rng.uniform(-scale, scale, shape) + 1j * rng.uniform(-scale, scale, shape)
+    """Random ``(*lead, N, K)`` matrices with real and imaginary parts
+    uniform in [-scale, scale].
+
+    The draws follow the layout ``(*lead, 2, N, K)``: per matrix, all real
+    parts, then all imaginary parts, so a stack of S matrices takes the
+    same stream as S consecutive 2-D calls. They are made _DRAW_BLOCK
+    matrices per ``rng.uniform`` call, which keeps the float temporaries
+    small next to the result.
+    """
+    *lead, n, k = shape
+    out = np.empty((*lead, n, k), dtype=np.complex128)
+    flat = out.reshape(math.prod(lead), n, k)
+    for start in range(0, len(flat), _DRAW_BLOCK):
+        block = flat[start : start + _DRAW_BLOCK]
+        parts = rng.uniform(-scale, scale, (len(block), 2, n, k))
+        block.real = parts[:, 0]
+        block.imag = parts[:, 1]
+    return out
 
 
 def adjoint_product(x: ComplexMatrix, y: ComplexMatrix) -> ComplexMatrix:

@@ -473,12 +473,7 @@ def run_check(
             )
         elif tag == "lemma2":
             rng = np.random.default_rng(seed)
-            shape = (instance.n, instance.k)
-            pairs = [
-                (uniform_cmatrix(rng, 2.0 * ball.radius, shape),
-                 uniform_cmatrix(rng, 2.0 * ball.radius, shape))
-                for _ in range(100)
-            ]
+            pairs = uniform_cmatrix(rng, 2.0 * ball.radius, (100, 2, instance.n, instance.k))
             reports.append(diagnostics.monitor_lemma2(pre, instance, pairs))
         elif tag == "lemma4":
             reports.append(
@@ -507,9 +502,17 @@ def run_check(
 
 
 def iterations_to_threshold(records: list[IterationRecord], limit: float) -> int | None:
-    """First recorded iteration whose objective is within 1e-6 relative of
-    ``limit``; None when the trace never gets there."""
-    gate = limit + 1e-6 * max(abs(limit), np.finfo(float).tiny)
+    """First recorded iteration whose objective is within
+    max(1e-6 |limit|, 1e-12 F(W^0)) of ``limit``; None when the trace never
+    gets there (or is empty).
+
+    The floor relative to the first recorded objective F(W^0) keeps an
+    optimum at rounding level, such as 0 for an unconstrained N > M
+    instance, from moving the result with its last bits.
+    """
+    if not records:
+        return None
+    gate = limit + max(1e-6 * abs(limit), 1e-12 * abs(records[0].objective))
     for rec in records:
         if rec.objective <= gate:
             return rec.iter

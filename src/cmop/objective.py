@@ -15,6 +15,7 @@ import numpy as np
 
 from .cmat import (
     ComplexMatrix,
+    RealVector,
     adjoint_product,
     cmatrix,
     frob_norm,
@@ -78,13 +79,16 @@ class ProblemInstance:
 class Precomputed:
     """Cached normal-equation data for an instance.
 
-    g is H^H H (Hermitian PSD), b is H^H A and ``lipschitz`` the largest
-    eigenvalue of g, computed by ``np.linalg.eigvalsh``.
+    g is H^H H (Hermitian PSD), b is H^H A, and ``lipschitz`` and
+    ``lambda_min`` the largest and smallest eigenvalues of g from one
+    ``np.linalg.eigvalsh`` call. ``lambda_min`` is not clamped: on a
+    singular g it is rounding noise of either sign.
     """
 
     g: ComplexMatrix
     b: ComplexMatrix
     lipschitz: float
+    lambda_min: float
 
 
 def precompute(instance: ProblemInstance) -> Precomputed:
@@ -93,12 +97,14 @@ def precompute(instance: ProblemInstance) -> Precomputed:
     L comes from a dense Hermitian eigensolve of G, exact to rounding, so
     steps resolved as fractions of 2/L or 1/L stay inside the guaranteed
     intervals. A top eigenvalue that rounds below zero (G = 0) is clamped
-    to 0.
+    to 0. The same eigensolve gives the smallest eigenvalue, which the
+    closed form uses to detect a singular G.
     """
     g = adjoint_product(instance.h, instance.h)
     b = adjoint_product(instance.h, instance.a)
-    lipschitz = max(float(np.linalg.eigvalsh(g)[-1]), 0.0)
-    return Precomputed(g=g, b=b, lipschitz=lipschitz)
+    eig = np.linalg.eigvalsh(g)
+    lipschitz = max(float(eig[-1]), 0.0)
+    return Precomputed(g=g, b=b, lipschitz=lipschitz, lambda_min=float(eig[0]))
 
 
 def _check_w_shape(w, n, k):
@@ -108,10 +114,11 @@ def _check_w_shape(w, n, k):
     return w
 
 
-def _residual_objective(instance: ProblemInstance, w: ComplexMatrix) -> float:
-    """Direct form 1/2 ||H w - A||_F^2 from the raw data matrices."""
+def _residual_objective(instance: ProblemInstance, w: ComplexMatrix) -> float | RealVector:
+    """Direct form 1/2 ||H w - A||_F^2 from the raw data matrices; a
+    ``(*lead, N, K)`` stack of w gives one value per matrix."""
     r = instance.h @ w - instance.a
-    return 0.5 * float(np.vdot(r, r).real)
+    return 0.5 * re_frob_inner(r, r)
 
 
 def evaluate(pre: Precomputed, instance: ProblemInstance, w: ComplexMatrix) -> float:
@@ -171,10 +178,20 @@ def fd_gradient(
 def closed_form_unconstrained(pre: Precomputed) -> ComplexMatrix:
     """Solve the normal equations G W = B by a dense linear solve.
 
-    The unique unconstrained minimizer when G is invertible. The solve is
-    trusted only if ||G W - B||_F <= 1e-9 ||B||_F; otherwise G is treated
-    as numerically singular.
+    The unique unconstrained minimizer when G is invertible. G is treated
+    as numerically singular, and SingularSystemError raised, when
+    lambda_min(G) <= N eps lambda_max(G) (always when N > M, where the
+    minimizers form an affine set), or when the solve leaves
+    ||G W - B||_F > 1e-9 ||B||_F.
     """
+    n = pre.g.shape[0]
+    floor = n * np.finfo(float).eps * pre.lipschitz
+    if pre.lambda_min <= floor:
+        raise SingularSystemError(
+            f"H^H H is numerically singular: lambda_min {pre.lambda_min:.3e} <= "
+            f"N eps lambda_max = {floor:.3e}; check the instance's n_within_m "
+            "advisory flag (N <= M is required for generic invertibility)"
+        )
     try:
         w = np.linalg.solve(pre.g, pre.b)
     except np.linalg.LinAlgError as exc:

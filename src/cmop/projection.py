@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .cmat import ComplexMatrix, frob_norm, re_frob_inner, row_sq_norms
+from .cmat import ComplexMatrix, RealVector, frob_norm, re_frob_inner, row_sq_norms
 from .errors import ContractError, DimensionError, InputError
 
 # Rows whose norm is within this band of the radius are left untouched, which
@@ -55,11 +55,13 @@ def project_rows(w: ComplexMatrix, ball: RowBall) -> ComplexMatrix:
 
     This is the exact Euclidean projection onto the feasible set (rows are
     independent, and per row the nearest point of a centered ball lies on
-    the segment to the origin).
+    the segment to the origin). ``w`` is an N x K matrix or a
+    ``(*lead, N, K)`` stack of them; every matrix of a stack comes back
+    with the same bits as a 2-D call on it.
     """
     w = np.asarray(w)
-    if w.ndim != 2:
-        raise DimensionError(f"expected a 2-D matrix, got ndim={w.ndim}")
+    if w.ndim < 2:
+        raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={w.ndim}")
     r = ball.radius
     ell = np.sqrt(row_sq_norms(w))
     mask = (ell - r) > _BOUNDARY_BAND
@@ -71,7 +73,7 @@ def project_rows(w: ComplexMatrix, ball: RowBall) -> ComplexMatrix:
     # turn a -0.0 real part into +0.0); rows left alone are multiplied by
     # exactly 1.0, which keeps their bits.
     parts = out.view(out.real.dtype)
-    parts *= np.where(mask, r / np.maximum(ell, r), 1.0)[:, None]
+    parts *= np.where(mask, r / np.maximum(ell, r), 1.0)[..., None]
     return out
 
 
@@ -89,13 +91,15 @@ def vi_residual(
     w_test: ComplexMatrix,
     ball: RowBall | None = None,
     feas_tol: float = 1e-12,
-) -> float:
+) -> float | RealVector:
     """Variational-inequality residual Re<w_plus - w_test, v - w_plus>.
 
     With w_plus the projection of v and w_test any feasible point, the
     value is nonnegative up to rounding; a materially negative value
     certifies a projection bug. When ``ball`` is given, w_test is checked
-    for feasibility and an infeasible probe is rejected.
+    for feasibility and an infeasible probe is rejected. Stacked
+    ``(*lead, N, K)`` inputs give one residual per matrix (see
+    ``re_frob_inner``).
     """
     w_plus = np.asarray(w_plus)
     v = np.asarray(v)

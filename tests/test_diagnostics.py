@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import cmop.diagnostics
 from cmop import (
     ProblemInstance,
     RowBall,
@@ -281,6 +282,19 @@ class TestMonitorLemma4:
         true_projection = project_rows(v, ball)
         bogus = 0.5 * true_projection
         assert vi_residual(bogus, v, true_projection) < -1e-10
+
+
+    def test_monitor_flags_bogus_projection(self, monkeypatch):
+        # Self-test of the monitor itself: with project_rows replaced by a
+        # halved projection, its own random triples go materially negative.
+        args = (RowBall(1.0), 3, 1, 500, 3, 0.5)
+        assert monitor_lemma4(*args).passed
+        monkeypatch.setattr(
+            cmop.diagnostics, "project_rows", lambda w, ball: 0.5 * project_rows(w, ball)
+        )
+        rep = monitor_lemma4(*args)
+        assert not rep.passed
+        assert rep.worst_slack < -1e-10
 
 
 class TestOracleOutputCertifies:

@@ -23,6 +23,8 @@ from cmop import (
 from cmop.cli import EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 from cmop.errors import InputError
 from cmop.harness import default_seed, iterations_to_threshold, parse_alpha_spec
+from cmop.solvers import SolverConfig, gd_solve
+from helpers import make_instance, zero_w
 
 
 @pytest.fixture
@@ -347,6 +349,16 @@ class TestRunSweep:
         assert rows[1]["error"] != ""
 
 
+    def test_threshold_ignores_rounding_level_optimum(self):
+        # Unconstrained gd on N > M reaches F = 0; its last objectives are
+        # rounding noise (0.0 and 2.3e-13), which must not move the column.
+        inst = make_instance(0, m=4, n=6, eta=0.01)
+        res = gd_solve(precompute(inst), inst, zero_w(inst), SolverConfig(alpha="f0.3", tau=1e-14))
+        limits = [0.0, res.objective, max(rec.objective for rec in res.trace[-10:])]
+        reached = {iterations_to_threshold(res.trace, limit) for limit in limits}
+        assert len(reached) == 1 and None not in reached
+
+
 class TestCli:
     def test_gen_solve_check_pipeline(self, tmp_path, capsys):
         inst = tmp_path / "i.cmop.json"
@@ -412,6 +424,15 @@ class TestCli:
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_rank_deficient_closed_form_is_a_one_line_error(self, tmp_path, capsys):
+        inst = tmp_path / "r0.json"
+        main(["gen", "--seed", "0", "--m", "4", "--n", "6", "--eta", "0.01", "-o", str(inst)])
+        code = main(["solve", str(inst), "--method", "closed"])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "singular" in err
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMOP_SEED", "77")

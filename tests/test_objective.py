@@ -105,6 +105,8 @@ class TestPrecompute:
             pre = precompute(inst)
             lmax = top_squared_singular_value(inst.h)
             assert pre.lipschitz == pytest.approx(lmax, rel=1e-12)
+            lmin = np.linalg.svd(inst.h, compute_uv=False)[-1] ** 2
+            assert pre.lambda_min == pytest.approx(lmin, rel=1e-10)
 
     @pytest.mark.parametrize("n", [8, 50])
     def test_exact_on_clustered_top_spectrum(self, n):
@@ -292,7 +294,17 @@ class TestClosedForm:
         b = inst.h.conj().T @ inst.a
         from cmop.objective import Precomputed
 
-        pre = Precomputed(g=g, b=b, lipschitz=1.0)
+        eig = np.linalg.eigvalsh(g)
+        pre = Precomputed(g=g, b=b, lipschitz=float(eig[-1]), lambda_min=float(eig[0]))
+        with pytest.raises(SingularSystemError, match="n_within_m"):
+            closed_form_unconstrained(pre)
+
+
+    def test_n_above_m_is_singular(self):
+        # 4 x 6 x 8: lambda_min / lambda_max is about 4e-19, yet the dense
+        # solve succeeds and passes the residual check.
+        pre = precompute(make_instance(0, m=4, n=6, eta=0.01))
+        assert pre.lambda_min <= 6 * np.finfo(float).eps * pre.lipschitz
         with pytest.raises(SingularSystemError, match="n_within_m"):
             closed_form_unconstrained(pre)
 

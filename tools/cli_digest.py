@@ -72,6 +72,12 @@ def _commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
             "--alpha", "f0.9", "--tau", TAU, "--seed", seed,
             "--report", f"{out}/check-pgd.txt",
         ]),
+        ("check-certify", [
+            "check", inst, "--w-source", "pgd",
+            "--monitors", "thm3,kkt,lemma2,lemma4,lipschitz",
+            "--alpha", "f0.9", "--tau", TAU, "--seed", seed,
+            "--report", f"{out}/check-certify.txt",
+        ]),
         ("check-oracle", [
             "check", inst, "--w-source", "oracle", "--monitors", "kkt",
             "--report", f"{out}/check-oracle.txt",
