@@ -36,13 +36,13 @@ from .errors import (
     InputError,
     OracleError,
     SingularSystemError,
+    WorkerError,
 )
 from .harness import (
     gen_instance,
     instance_from_document,
     read_instance,
     read_solution,
-    read_trace,
     run_check,
     run_experiment,
     run_solver,
@@ -56,7 +56,6 @@ from .objective import (
     ProblemInstance,
     closed_form_unconstrained,
     evaluate,
-    fd_gradient,
     gradient,
     precompute,
 )

@@ -11,6 +11,7 @@ failed, 2 input error, 3 the solver diverged.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import CmopError
@@ -33,7 +34,10 @@ EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building it takes about 1 ms."""
     parser = argparse.ArgumentParser(
         prog="cmop",
         description="Complex matrix least-squares solvers with row-power "
@@ -119,8 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
             seed = args.seed if args.seed is not None else default_seed()

@@ -300,10 +300,13 @@ def monitor_lemma4(
 
     Draws ``samples`` pre-projection points V and probes (projected to be
     feasible) W with entries uniform in real and imaginary part over
-    [-v_scale, v_scale], and requires Re<P(V) - W, V - P(V)> >= -1e-10 on
-    every triple. A block of S samples is one ``uniform_cmatrix`` draw of
-    S x 2 x N x K: per sample, V then the probe, each real parts first,
-    the order a per-sample loop would draw them.
+    [-v_scale, v_scale], and requires
+    Re<P(V) - W, V - P(V)> >= -1e-12 (||V||_F^2 + ||W||_F^2) on every
+    triple. The slack scales with the data and has no absolute floor, so a
+    wrong projection shows at any radius. A block of S samples is one
+    ``uniform_cmatrix`` draw of S x 2 x N x K: per sample, V then the
+    probe, each real parts first, the order a per-sample loop would draw
+    them.
     """
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
@@ -312,7 +315,9 @@ def monitor_lemma4(
     def block_checks(start, stop):
         draws = uniform_cmatrix(rng, v_scale, (stop - start, 2, n, k))
         projected = project_rows(draws, ball)
-        return vi_residual(projected[:, 0], draws[:, 0], projected[:, 1]), 0.0, 1e-10
+        v, w = draws[:, 0], projected[:, 1]
+        slack = 1e-12 * (re_frob_inner(v, v) + re_frob_inner(w, w))
+        return vi_residual(projected[:, 0], v, w), 0.0, slack
 
     return _build_report(MONITOR_LEMMA4, _sample_checks(samples, block_checks))
 

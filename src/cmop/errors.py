@@ -41,3 +41,7 @@ class OracleError(CmopError, RuntimeError):
 
 class DegenerateRowError(CmopError, ValueError):
     """A multiplier cannot be recovered from a zero-norm active row."""
+
+
+class WorkerError(CmopError, RuntimeError):
+    """A sweep's worker process failed or sent back an unreadable result."""

@@ -18,6 +18,11 @@ Trace files are CSV with header
 ``iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns``, LF line
 endings and '.' decimal separator. Iteration timing is off by default, so
 re-running a command with identical inputs yields byte-identical outputs.
+
+Step-size sweeps on small instances run their steps in forked worker
+processes when two or more CPUs are usable; see :func:`run_sweep`. The
+outputs are byte-identical to a run in one process, and nothing selects
+between the two.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -37,6 +44,7 @@ from .errors import (
     CmopError,
     ConfigError,
     InputError,
+    WorkerError,
 )
 from .objective import (
     Precomputed,
@@ -69,7 +77,6 @@ CHECK_SOURCES = ("gd", "pgd", "oracle", "file")
 MONITOR_TAGS = ("thm2", "thm3", "kkt", "lemma2", "lemma4", "lipschitz")
 
 TRACE_HEADER = "iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns"
-_TRACE_CASTS = (int, float, float, float, float, int, int)
 SWEEP_COLUMNS = (
     "index", "alpha_spec", "alpha", "iterations", "iters_to_threshold",
     "final_objective", "stop_reason", "error",
@@ -233,28 +240,6 @@ def _write_lines(path, lines: list[str]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
 
 
-def read_trace(path) -> list[IterationRecord]:
-    try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
-        raise InputError(f"cannot read trace file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InputError(f"trace file {path} is not ASCII: {exc}") from exc
-    lines = text.strip().split("\n")
-    if not lines or lines[0] != TRACE_HEADER:
-        raise InputError(f"trace file {path} has an unexpected header")
-    records = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 7:
-            raise InputError(f"trace row has {len(parts)} fields, expected 7")
-        try:
-            records.append(IterationRecord(*(cast(x) for cast, x in zip(_TRACE_CASTS, parts))))
-        except ValueError as exc:
-            raise InputError(f"trace row {line!r} is not numeric") from exc
-    return records
-
-
 def parse_alpha_spec(text: str):
     """CLI step-size syntax: a literal number, or 'f<frac>' for a fraction
     of the guaranteed interval."""
@@ -341,14 +326,28 @@ def _solve(
     run one solve with solver warnings silenced (callers report an
     out-of-interval step themselves). Returns (result, resolved step or
     None for the direct methods)."""
+    config, resolved = _configure(pre, method, alpha_spec, **config_options)
+    return _run_quietly(instance, pre, method, config, radius_is_eta), resolved
+
+
+def _configure(
+    pre: Precomputed, method: str, alpha_spec: str, **config_options
+) -> tuple[SolverConfig, float | None]:
+    """The solver config for a step spec, and its resolved step (None for
+    the direct methods), without the out-of-interval warning."""
     config = SolverConfig(alpha=parse_alpha_spec(alpha_spec), **config_options)
     resolved = None
+    if method in ITERATIVE_METHODS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            resolved = resolve_alpha(config, pre.lipschitz, _step_mode(method))
+    return config, resolved
+
+
+def _run_quietly(instance, pre, method, config, radius_is_eta) -> SolveResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        if method in ITERATIVE_METHODS:
-            resolved = resolve_alpha(config, pre.lipschitz, _step_mode(method))
-        result = run_solver(instance, pre, method, config, radius_is_eta)
-    return result, resolved
+        return run_solver(instance, pre, method, config, radius_is_eta)
 
 
 def _step_mode(method: str) -> str:
@@ -533,6 +532,17 @@ def run_sweep(
     combined summary table (alpha, iterations-to-threshold, final
     objective). Solver errors are recorded per step size rather than
     aborting the sweep.
+
+    Every step is resolved first; a spec that does not resolve gets its
+    error row at once. Under the fixed-step linear rates a solve's
+    iteration count grows like 1/alpha, so the resolved steps are split by
+    that cost, longest first, into ``_sweep_workers`` groups. The first
+    group runs in this process and every other group in a forked child,
+    which writes its own ``trace_<i>.csv`` files and sends its summary rows
+    back. The split depends only on the instance, the specs and L, and
+    ``summary.csv`` and stdout list the rows in index order, so every
+    output byte is the same whatever the number of workers. A worker that
+    fails raises WorkerError, and no summary is written.
     """
     if not alpha_specs:
         raise InputError("sweep needs at least one step size")
@@ -543,30 +553,216 @@ def run_sweep(
     instance, _ = read_instance(instance_path)
     pre = precompute(instance)
 
-    rows = []
+    rows, steps = [], {}  # steps: row index -> (config, resolved step)
     for i, spec in enumerate(alpha_specs):
-        trace_path = out / f"trace_{i}.csv"
         row = dict.fromkeys(SWEEP_COLUMNS, "")
         row.update(index=i, alpha_spec=spec.strip())
-        try:
-            result, resolved = _solve(
-                instance, pre, method, spec, radius_is_eta, tau=tau, max_iter=max_iter
-            )
-            write_trace(result.trace, trace_path)
-            reached = iterations_to_threshold(result.trace, result.objective)
-            row.update(
-                alpha=repr(resolved),
-                iterations=str(result.iterations),
-                iters_to_threshold="" if reached is None else str(reached),
-                final_objective=repr(result.objective),
-                stop_reason=result.stop_reason,
-            )
-        except CmopError as exc:
-            row["error"] = str(exc).replace("\n", " ")
         rows.append(row)
+        try:
+            steps[i] = _configure(pre, method, spec, tau=tau, max_iter=max_iter)
+        except CmopError as exc:
+            row["error"] = _one_line(exc)
+
+    def run_group(indices: list[int]) -> list[dict]:
+        for i in indices:
+            _sweep_step(instance, pre, method, *steps[i], radius_is_eta, out, rows[i])
+        return [rows[i] for i in indices]
+
+    indices = list(steps)
+    split = _lpt_groups(
+        [1.0 / steps[i][1] for i in indices], _sweep_workers(instance, method, len(indices))
+    )
+    for row in _run_groups([[indices[j] for j in group] for group in split], run_group):
+        rows[row["index"]] = row
 
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(str(row[col]) for col in SWEEP_COLUMNS) for row in rows]
     _write_lines(out / "summary.csv", lines)
     print("\n".join(lines), file=stream)
+    return rows
+
+
+def _one_line(exc: Exception) -> str:
+    return str(exc).replace("\n", " ")
+
+
+def _sweep_step(
+    instance, pre, method, config, resolved, radius_is_eta, out: Path, row: dict
+) -> None:
+    """Solve one sweep step, write its trace and fill its summary row; a
+    CmopError becomes the row's error."""
+    try:
+        result = _run_quietly(instance, pre, method, config, radius_is_eta)
+        write_trace(result.trace, out / f"trace_{row['index']}.csv")
+    except CmopError as exc:
+        row["error"] = _one_line(exc)
+        return
+    reached = iterations_to_threshold(result.trace, result.objective)
+    row.update(
+        alpha=repr(resolved),
+        iterations=str(result.iterations),
+        iters_to_threshold="" if reached is None else str(reached),
+        final_objective=repr(result.objective),
+        stop_reason=result.stop_reason,
+    )
+
+
+# A sweep runs in worker processes only while every BLAS call of its solves
+# stays on one thread. A threaded call leaves OpenBLAS worker threads
+# spinning after it, and two processes doing that on two cores thrash: a
+# 4-step pgd sweep at 120 x 64 x 64 ran 2-16x slower forked. OpenBLAS 0.3.31
+# starts threads for a matrix product of 2^18 real multiply-adds (a complex
+# one counts four) and for an inner product of more than 10^4 elements; both
+# were read off the thread count of a freshly forked process, where OpenBLAS
+# has stopped its pool. The real-stacked Gram product runs on one thread a
+# little beyond 2^18 and the other real products up to at least 8 x 10^5, so
+# the first bound is conservative for them.
+_SERIAL_BLAS_MACS = 2**18
+_SERIAL_BLAS_DOT = 10_000
+
+
+def _blas_sizes(method: str, m: int, n: int, k: int) -> tuple[int, int]:
+    """The largest matrix product of one solve of ``method``, in real
+    multiply-adds, and its longest inner product, in elements."""
+    if method == "real-augmented":
+        # (2N x 2M)(2M x 2N) and (2N x 2M)(2M x K) once per solve,
+        # (2N x 2N)(2N x K) per iteration; inner products over 2MK and 2NK.
+        return 4 * n * max(2 * m * n, m * k, n * k), 2 * k * max(m, n)
+    # (N x N)(N x K) per iteration; inner products over MK and NK entries.
+    return 4 * n * n * k, k * max(m, n)
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _sweep_workers(instance: ProblemInstance, method: str, steps: int) -> int:
+    """Processes a sweep of ``steps`` resolved steps runs in: one (this
+    process) when fork is missing or unsafe because another Python thread
+    is alive, when a solve would start BLAS threads, or when there is only
+    one CPU or step; else one per CPU, at most one per step."""
+    macs, dot = _blas_sizes(method, instance.m, instance.n, instance.k)
+    if (
+        not hasattr(os, "fork")
+        or threading.active_count() > 1
+        or macs >= _SERIAL_BLAS_MACS
+        or dot > _SERIAL_BLAS_DOT
+    ):
+        return 1
+    return max(1, min(_usable_cpus(), steps))
+
+
+def _lpt_groups(costs: list[float], workers: int) -> list[list[int]]:
+    """Longest-processing-time-first split of items 0 .. len(costs) - 1 into
+    ``workers`` groups: item by item, costliest first (ties by index), each
+    joins the group with the least cost so far (ties by group index). Each
+    group lists its items in index order."""
+    groups: list[list[int]] = [[] for _ in range(workers)]
+    loads = [0.0] * workers
+    for i in sorted(range(len(costs)), key=lambda i: (-costs[i], i)):
+        g = min(range(workers), key=lambda g: (loads[g], g))
+        groups[g].append(i)
+        loads[g] += costs[i]
+    return [sorted(group) for group in groups]
+
+
+def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
+    """The rows ``run_group(group)`` returns for every group: the first
+    group runs in this process, each other one in a forked child. On any
+    error the children still running are killed, and every child is
+    reaped with its pipe closed.
+
+    Where the platform lets a process choose its CPUs, group g runs alone
+    on the g-th usable CPU, this process only until its group is done. On
+    a 2-vCPU VM the scheduler was seen to keep a forked child on its
+    parent's CPU, where two processes were no faster than one.
+    """
+    pin = len(groups) > 1 and hasattr(os, "sched_setaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if pin else []
+
+    def work(g: int) -> list[dict]:
+        if pin:
+            os.sched_setaffinity(0, {cpus[g % len(cpus)]})
+        return run_group(groups[g])
+
+    children = []  # (pid, read end of its pipe, group)
+    try:
+        for g in range(1, len(groups)):
+            pid, fd = _fork(lambda g=g: work(g), [c[1] for c in children])
+            children.append((pid, fd, groups[g]))
+        try:
+            rows = work(0)
+        finally:
+            if pin:
+                os.sched_setaffinity(0, cpus)
+        while children:
+            rows += _collect(*children.pop(0))
+        return rows
+    finally:
+        for pid, fd, _ in children:
+            os.close(fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(work, inherited: list[int]) -> tuple[int, int]:
+    """Run ``work()`` in a forked child that sends its result as JSON over
+    a pipe; returns (pid, read end). The child closes the ``inherited`` read
+    ends of earlier children, never prints, and leaves through os._exit on
+    every path, so it never returns into the caller's stack or flushes
+    buffers it inherited. It exits 1 after sending repr() of an exception
+    that escapes ``work``."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            for fd in (read_fd, *inherited):
+                os.close(fd)
+            try:
+                payload, ok = json.dumps(work()).encode("ascii"), True
+            except BaseException as exc:  # reported by the exit status, never re-raised
+                payload, ok = repr(exc).encode("ascii", "replace"), False
+            view = memoryview(payload)
+            while view:
+                view = view[os.write(write_fd, view):]
+            code = 0 if ok else 1
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect(pid: int, fd: int, group: list[int]) -> list[dict]:
+    """Read a child's rows to the end of its pipe, reap it and check that
+    it exited 0 and sent one well-formed row per row index in ``group``."""
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    where = f"sweep worker process {pid}"
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        detail = data.decode("ascii", "replace")[-300:]
+        raise WorkerError(f"{where} exited with status {code}" + (f": {detail}" if detail else ""))
+    try:
+        rows = json.loads(data)
+    except ValueError:
+        rows = None
+    if not (
+        isinstance(rows, list)
+        and all(isinstance(row, dict) and list(row) == list(SWEEP_COLUMNS) for row in rows)
+        and [row["index"] for row in rows] == group
+    ):
+        raise WorkerError(f"{where} sent an invalid result ({len(data)} bytes)")
     return rows

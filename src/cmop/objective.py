@@ -2,9 +2,8 @@
 
 Provides the problem container, cached normal-equation data (G = H^H H,
 B = H^H A) with the largest eigenvalue of G (the smoothness constant L)
-from a dense Hermitian eigensolve, the analytic gradient G W - B, a central
-finite-difference gradient oracle built from the real and imaginary parts
-separately, and the unconstrained closed-form solution.
+from a dense Hermitian eigensolve, the analytic gradient G W - B, and the
+unconstrained closed-form solution.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .cmat import (
     re_frob_inner,
 )
 from .errors import (
-    ConfigError,
     DimensionError,
     InputError,
     SingularSystemError,
@@ -137,42 +135,6 @@ def gradient(pre: Precomputed, w: ComplexMatrix) -> ComplexMatrix:
     n, k = pre.b.shape
     w = _check_w_shape(w, n, k)
     return pre.g @ w - pre.b
-
-
-def fd_gradient(
-    instance: ProblemInstance, w: ComplexMatrix, step: float | None = None
-) -> ComplexMatrix:
-    """Central finite-difference gradient over the real/imaginary parts.
-
-    Entry (n, k) is built from four objective evaluations: a symmetric
-    difference along the real unit direction plus i times the symmetric
-    difference along the imaginary unit direction. Acts as the independent
-    check that the analytic gradient's components equal the real-space
-    partial derivatives. Default step: 1e-5 * (1 + ||w||_F).
-    """
-    w = cmatrix(_check_w_shape(w, instance.n, instance.k))
-    if step is None:
-        step = 1e-5 * (1.0 + frob_norm(w))
-    if not step > 0.0:
-        raise ConfigError(f"finite-difference step must be positive, got {step}")
-    out = np.empty_like(w)
-    probe = w.copy()
-    for i in range(w.shape[0]):
-        for j in range(w.shape[1]):
-            orig = w[i, j]
-            probe[i, j] = orig + step
-            f_plus = _residual_objective(instance, probe)
-            probe[i, j] = orig - step
-            f_minus = _residual_objective(instance, probe)
-            d_re = (f_plus - f_minus) / (2.0 * step)
-            probe[i, j] = orig + 1j * step
-            f_plus = _residual_objective(instance, probe)
-            probe[i, j] = orig - 1j * step
-            f_minus = _residual_objective(instance, probe)
-            d_im = (f_plus - f_minus) / (2.0 * step)
-            probe[i, j] = orig
-            out[i, j] = d_re + 1j * d_im
-    return out
 
 
 def closed_form_unconstrained(pre: Precomputed) -> ComplexMatrix:

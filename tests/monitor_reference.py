@@ -63,5 +63,6 @@ def monitor_lemma4(ball, n, k, samples, seed, v_scale):
         probe = draw_cmatrix(rng, v_scale, (n, k))
         w_test = project_rows(probe, ball)
         w_plus = project_rows(v, ball)
-        checks.append((i, _re_inner(w_plus - w_test, v - w_plus), 0.0, 1e-10))
+        slack = 1e-12 * (_re_inner(v, v) + _re_inner(w_test, w_test))
+        checks.append((i, _re_inner(w_plus - w_test, v - w_plus), 0.0, slack))
     return _build_report(MONITOR_LEMMA4, checks)

@@ -22,7 +22,6 @@ from cmop import (
     active_set_oracle,
     closed_form_unconstrained,
     evaluate,
-    fd_gradient,
     frob_norm,
     gd_solve,
     gradient,
@@ -36,7 +35,7 @@ from cmop import (
     vi_residual,
 )
 from cmop.harness import iterations_to_threshold
-from helpers import make_instance, zero_w
+from helpers import fd_gradient, make_instance, zero_w
 
 ACCEPT_SEEDS = [0, 2, 4, 5, 8, 9, 10, 12, 14, 15, 19, 20, 21, 24, 26, 30, 32, 35, 37, 39]
 

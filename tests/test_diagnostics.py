@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmop.diagnostics
 from cmop import (
@@ -295,6 +297,33 @@ class TestMonitorLemma4:
         rep = monitor_lemma4(*args)
         assert not rep.passed
         assert rep.worst_slack < -1e-10
+
+    def test_monitor_flags_bogus_projection_at_small_radius(self, monkeypatch):
+        # The same geometry scaled by 1e-6: the residuals shrink by 1e-12
+        # (worst about -2.9e-14), and a slack relative to ||V||^2 + ||W||^2
+        # still sees them.
+        args = (RowBall(1e-6), 3, 1, 500, 3, 5e-7)
+        assert monitor_lemma4(*args).passed
+        monkeypatch.setattr(
+            cmop.diagnostics, "project_rows", lambda w, ball: 0.5 * project_rows(w, ball)
+        )
+        rep = monitor_lemma4(*args)
+        assert not rep.passed
+        for _, lhs, rhs, slack in rep.violations:
+            assert 0.0 < slack < 1e-20 and lhs - rhs < -slack
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(1, 8),
+        k=st.integers(1, 8),
+        exponent=st.sampled_from([-6, 0, 6]),
+        spread=st.sampled_from([0.25, 0.75, 1.25, 4.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_true_projection_passes_at_any_scale(self, n, k, exponent, spread, seed):
+        radius = 10.0**exponent
+        rep = monitor_lemma4(RowBall(radius), n, k, 64, seed, v_scale=spread * radius)
+        assert rep.passed
 
 
 class TestOracleOutputCertifies:

@@ -13,7 +13,6 @@ from cmop import (
     closed_form_unconstrained,
     read_instance,
     read_solution,
-    read_trace,
     run_check,
     run_experiment,
     run_sweep,
@@ -24,7 +23,7 @@ from cmop.cli import EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 from cmop.errors import InputError
 from cmop.harness import default_seed, iterations_to_threshold, parse_alpha_spec
 from cmop.solvers import SolverConfig, gd_solve
-from helpers import make_instance, zero_w
+from helpers import make_instance, read_trace, zero_w
 
 
 @pytest.fixture
@@ -433,6 +432,26 @@ class TestCli:
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "singular" in err
+
+    def test_successive_mains_behave_like_fresh_ones(self, monkeypatch):
+        # The parser is built once per process; no option may carry over
+        # from one main() call to the next.
+        import cmop.cli
+
+        calls = []
+
+        def run_check(*args, **kwargs):
+            calls.append(kwargs)
+            return True, []
+
+        monkeypatch.setattr(cmop.cli, "run_check", run_check)
+        base = ["check", "inst.json", "--monitors", "lemma4"]
+        assert main([*base, "--seed", "5", "--radius-is-eta"]) == EXIT_OK
+        assert main(base) == EXIT_OK
+        assert (calls[0]["seed"], calls[0]["radius_is_eta"]) == (5, True)
+        assert (calls[1]["seed"], calls[1]["radius_is_eta"]) == (None, False)
+        assert calls[1] == dict(calls[0], seed=None, radius_is_eta=False)
+        assert cmop.cli._build_parser() is cmop.cli._build_parser()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMOP_SEED", "77")

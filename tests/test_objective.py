@@ -13,7 +13,6 @@ from cmop import (
     SolverConfig,
     closed_form_unconstrained,
     evaluate,
-    fd_gradient,
     frob_norm,
     gradient,
     precompute,
@@ -26,7 +25,7 @@ from cmop.errors import (
     InputError,
     SingularSystemError,
 )
-from helpers import make_instance, random_w
+from helpers import fd_gradient, make_instance, random_w
 
 
 def top_squared_singular_value(h):

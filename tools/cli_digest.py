@@ -34,6 +34,10 @@ INSTANCES = tuple((f"p{seed}", ["--seed", str(seed)]) for seed in range(5)) + (
     ("r0", ["--seed", "0", "--m", "4", "--n", "6", "--eta", "0.01"]),
 )
 SWEEP_ALPHAS = "f0.3,f0.9,fbad"
+# More steps than CPUs, out of cost order, with an error row and a step that
+# diverges under gd: the split of a sweep over worker processes must not
+# show in its outputs.
+MIXED_SWEEP_ALPHAS = "f0.9,fbad,f0.1,1e9,f0.5,f0.3"
 TAU = "1e-14"
 
 
@@ -53,6 +57,11 @@ def _commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
                 "sweep", inst, "--method", method, "--alphas", SWEEP_ALPHAS,
                 "--tau", TAU, "--out-dir", f"{out}/sweep-{method}",
             ]))
+    for method in ("gd", "pgd"):
+        cmds.append((f"sweep-{method}-mixed", [
+            "sweep", inst, "--method", method, "--alphas", MIXED_SWEEP_ALPHAS,
+            "--tau", TAU, "--out-dir", f"{out}/sweep-{method}-mixed",
+        ]))
     cmds += [
         ("solve-pgd-radius-is-eta", [
             "solve", inst, "--method", "pgd", "--alpha", "f0.5", "--radius-is-eta",
