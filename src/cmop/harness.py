@@ -20,7 +20,8 @@ endings and '.' decimal separator. Iteration timing is off by default, so
 re-running a command with identical inputs yields byte-identical outputs.
 
 Step-size sweeps on small instances run their steps in forked worker
-processes when two or more CPUs are usable; see :func:`run_sweep`. The
+processes, each pinned to one CPU, when two or more CPUs are usable and
+the platform has fork and CPU affinity calls; see :func:`run_sweep`. The
 outputs are byte-identical to a run in one process, and nothing selects
 between the two.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -541,8 +543,10 @@ def run_sweep(
     which writes its own ``trace_<i>.csv`` files and sends its summary rows
     back. The split depends only on the instance, the specs and L, and
     ``summary.csv`` and stdout list the rows in index order, so every
-    output byte is the same whatever the number of workers. A worker that
-    fails raises WorkerError, and no summary is written.
+    output byte is the same whatever the number of workers. An exception
+    that escapes a worker's steps is raised again here, as it would be had
+    this process run them; a worker that dies or sends an unreadable
+    result raises WorkerError. Either way no summary is written.
     """
     if not alpha_specs:
         raise InputError("sweep needs at least one step size")
@@ -634,20 +638,20 @@ def _blas_sizes(method: str, m: int, n: int, k: int) -> tuple[int, int]:
 
 def _usable_cpus() -> int:
     """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def _sweep_workers(instance: ProblemInstance, method: str, steps: int) -> int:
     """Processes a sweep of ``steps`` resolved steps runs in: one (this
-    process) when fork is missing or unsafe because another Python thread
-    is alive, when a solve would start BLAS threads, or when there is only
-    one CPU or step; else one per CPU, at most one per step."""
+    process) when fork or CPU affinity is missing, when fork is unsafe
+    because another Python thread is alive, when a solve would start BLAS
+    threads, or when there is only one CPU or step; else one per CPU, at
+    most one per step. Workers were measured only pinned to CPUs, as
+    :func:`_run_groups` pins them, so they need the affinity calls."""
     macs, dot = _blas_sizes(method, instance.m, instance.n, instance.k)
     if (
         not hasattr(os, "fork")
+        or not hasattr(os, "sched_setaffinity")
         or threading.active_count() > 1
         or macs >= _SERIAL_BLAS_MACS
         or dot > _SERIAL_BLAS_DOT
@@ -676,16 +680,18 @@ def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
     error the children still running are killed, and every child is
     reaped with its pipe closed.
 
-    Where the platform lets a process choose its CPUs, group g runs alone
-    on the g-th usable CPU, this process only until its group is done. On
-    a 2-vCPU VM the scheduler was seen to keep a forked child on its
-    parent's CPU, where two processes were no faster than one.
+    With more than one group, group g runs alone on the g-th CPU of
+    :func:`_cpu_order`, this process only until its group is done. On a
+    2-vCPU VM the scheduler was seen to keep an unpinned forked child on
+    its parent's CPU, where two processes were no faster than one. Group 0
+    stays on the CPU this process last ran on, so sweeps run side by side
+    keep the spread the kernel gave them instead of all starting on the
+    lowest-numbered CPU.
     """
-    pin = len(groups) > 1 and hasattr(os, "sched_setaffinity")
-    cpus = sorted(os.sched_getaffinity(0)) if pin else []
+    cpus = _cpu_order() if len(groups) > 1 else []
 
     def work(g: int) -> list[dict]:
-        if pin:
+        if cpus:
             os.sched_setaffinity(0, {cpus[g % len(cpus)]})
         return run_group(groups[g])
 
@@ -697,7 +703,7 @@ def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
         try:
             rows = work(0)
         finally:
-            if pin:
+            if cpus:
                 os.sched_setaffinity(0, cpus)
         while children:
             rows += _collect(*children.pop(0))
@@ -709,13 +715,28 @@ def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
             os.waitpid(pid, 0)
 
 
+def _cpu_order() -> list[int]:
+    """The CPUs this process may run on in ascending order, rotated to
+    start at the one it last ran on (read from Linux's /proc; without it,
+    at the lowest)."""
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        with open("/proc/self/stat", "rb") as stat:
+            # Field 39; the fields after the parenthesized name start at 3.
+            last = int(stat.read().rpartition(b")")[2].split()[36])
+    except (OSError, IndexError, ValueError):
+        return cpus
+    start = cpus.index(last) if last in cpus else 0
+    return cpus[start:] + cpus[:start]
+
+
 def _fork(work, inherited: list[int]) -> tuple[int, int]:
     """Run ``work()`` in a forked child that sends its result as JSON over
     a pipe; returns (pid, read end). The child closes the ``inherited`` read
     ends of earlier children, never prints, and leaves through os._exit on
     every path, so it never returns into the caller's stack or flushes
-    buffers it inherited. It exits 1 after sending repr() of an exception
-    that escapes ``work``."""
+    buffers it inherited. It exits 1 after sending an exception that
+    escapes ``work``: pickled, or as repr() if it does not pickle."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -730,8 +751,13 @@ def _fork(work, inherited: list[int]) -> tuple[int, int]:
                 os.close(fd)
             try:
                 payload, ok = json.dumps(work()).encode("ascii"), True
-            except BaseException as exc:  # reported by the exit status, never re-raised
-                payload, ok = repr(exc).encode("ascii", "replace"), False
+            except BaseException as exc:  # sent to the parent, never re-raised here
+                try:
+                    payload = pickle.dumps(exc)
+                    pickle.loads(payload)  # the parent must be able to load it
+                except Exception:
+                    payload = repr(exc).encode("ascii", "replace")
+                ok = False
             view = memoryview(payload)
             while view:
                 view = view[os.write(write_fd, view):]
@@ -744,7 +770,9 @@ def _fork(work, inherited: list[int]) -> tuple[int, int]:
 
 def _collect(pid: int, fd: int, group: list[int]) -> list[dict]:
     """Read a child's rows to the end of its pipe, reap it and check that
-    it exited 0 and sent one well-formed row per row index in ``group``."""
+    it exited 0 and sent one well-formed row per row index in ``group``.
+    An exception the child sent is raised here, caused by a WorkerError
+    that names the child."""
     try:
         with os.fdopen(fd, "rb") as pipe:
             data = pipe.read()
@@ -752,6 +780,13 @@ def _collect(pid: int, fd: int, group: list[int]) -> list[dict]:
         _, status = os.waitpid(pid, 0)
     where = f"sweep worker process {pid}"
     code = os.waitstatus_to_exitcode(status)
+    if code == 1:
+        try:
+            exc = pickle.loads(data)  # written by our own fork, not by a stranger
+        except Exception:
+            exc = None
+        if isinstance(exc, BaseException):
+            raise exc from WorkerError(f"{where} raised {type(exc).__name__}")
     if code != 0:
         detail = data.decode("ascii", "replace")[-300:]
         raise WorkerError(f"{where} exited with status {code}" + (f": {detail}" if detail else ""))

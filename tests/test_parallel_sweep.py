@@ -1,6 +1,8 @@
 """Sweeps split over forked worker processes: the outputs do not depend on
 the number of workers, a failed worker is an error that leaves nothing
-behind, and instances whose solves would start BLAS threads never fork."""
+behind and raises what the same steps raise in one process, the caller's
+CPU affinity is restored, and instances whose solves would start BLAS
+threads never fork."""
 
 import os
 import threading
@@ -51,13 +53,16 @@ def _open_fds():
 @pytest.mark.parametrize("method", ["gd", "pgd", "real-augmented"])
 def test_outputs_do_not_depend_on_worker_count(tmp_path, instance_path, capsys, monkeypatch,
                                                forks, method):
+    affinity = os.sched_getaffinity(0)
     parallel = _sweep(instance_path, tmp_path / "parallel", method, FRACTIONS, capsys)
+    assert os.sched_getaffinity(0) == affinity
     for cpus, children in ((1, 0), (4, 3)):
         monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
         del forks[:]
         out = _sweep(instance_path, tmp_path / f"cpus{cpus}", method, FRACTIONS, capsys)
         assert len(forks) == children
         assert out == parallel
+        assert os.sched_getaffinity(0) == affinity
     assert sorted(parallel[0]) == ["summary.csv"] + [f"trace_{i}.csv" for i in range(5)]
 
 
@@ -88,6 +93,10 @@ def test_partition_longest_first():
         assert sorted(i for group in groups for i in group) == list(range(5))
 
 
+def _deny(records, path):
+    raise PermissionError(13, "Permission denied")
+
+
 def _break_workers(monkeypatch, how):
     """Make every worker's group fail in the way ``how`` names; the group
     run in this process is left alone."""
@@ -96,6 +105,8 @@ def _break_workers(monkeypatch, how):
 
     def broken(groups, run_group):
         def group_rows(group):
+            if how == "write_trace" and os.getpid() != parent:
+                harness.write_trace = _deny  # in this child's memory only
             rows = run_group(group)
             if os.getpid() == parent:
                 return rows
@@ -112,26 +123,43 @@ def _break_workers(monkeypatch, how):
     monkeypatch.setattr(harness, "_run_groups", broken)
 
 
-@pytest.mark.parametrize("how, message", [
-    ("exit", "exited with status 3"),
-    ("short", "sent an invalid result"),
-    ("misplaced", "sent an invalid result"),
-    ("unserializable", "exited with status 1: TypeError"),
+@pytest.mark.parametrize("how, error, message", [
+    ("exit", WorkerError, "exited with status 3"),
+    ("short", WorkerError, "sent an invalid result"),
+    ("misplaced", WorkerError, "sent an invalid result"),
+    ("unserializable", TypeError, "not JSON serializable"),
+    ("write_trace", PermissionError, "Permission denied"),
 ])
 def test_failed_worker_raises_and_cleans_up(tmp_path, instance_path, monkeypatch, forks,
-                                            how, message):
+                                            how, error, message):
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
     _break_workers(monkeypatch, how)
     fds = _open_fds()
+    affinity = os.sched_getaffinity(0)
     out = tmp_path / "s"
-    with pytest.raises(WorkerError, match=message):
+    with pytest.raises(error, match=message) as raised:
         run_sweep(instance_path, "pgd", FRACTIONS, tau=1e-14, out_dir=out)
+    if error is not WorkerError:  # the child's own exception, naming the child
+        assert isinstance(raised.value.__cause__, WorkerError)
+        assert f"process {forks[0]} raised {error.__name__}" in str(raised.value.__cause__)
     assert len(forks) == 3
     assert not (out / "summary.csv").exists()
     for pid in forks:
         with pytest.raises(ChildProcessError):  # already reaped
             os.waitpid(pid, os.WNOHANG)
     assert _open_fds() == fds
+    assert os.sched_getaffinity(0) == affinity
+
+
+def test_step_exception_in_one_process_matches_a_workers(tmp_path, instance_path, monkeypatch,
+                                                         forks):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "write_trace", _deny)
+    out = tmp_path / "s"
+    with pytest.raises(PermissionError, match="Permission denied"):
+        run_sweep(instance_path, "pgd", FRACTIONS, tau=1e-14, out_dir=out)
+    assert forks == []
+    assert not (out / "summary.csv").exists()
 
 
 def test_error_in_this_process_stops_the_workers(tmp_path, instance_path, monkeypatch, forks):
@@ -146,6 +174,7 @@ def test_error_in_this_process_stops_the_workers(tmp_path, instance_path, monkey
 
     monkeypatch.setattr(harness, "_sweep_step", failing)
     fds = _open_fds()
+    affinity = os.sched_getaffinity(0)
     with pytest.raises(KeyboardInterrupt):
         run_sweep(instance_path, "pgd", FRACTIONS, tau=1e-14, out_dir=tmp_path / "s")
     assert len(forks) == 3
@@ -153,6 +182,20 @@ def test_error_in_this_process_stops_the_workers(tmp_path, instance_path, monkey
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
     assert _open_fds() == fds
+    assert os.sched_getaffinity(0) == affinity
+
+
+def test_cpu_order_starts_where_this_process_runs(monkeypatch):
+    cpus = sorted(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    try:
+        for cpu in cpus:
+            os.sched_setaffinity(0, {cpu})  # this process now runs on cpu only
+            order = harness._cpu_order()
+            assert order[0] == cpu
+            assert order == cpus[cpus.index(cpu):] + cpus[:cpus.index(cpu)]
+    finally:
+        os.sched_setaffinity(0, cpus)
 
 
 @pytest.mark.parametrize("m, n, k, method", [
@@ -207,6 +250,10 @@ def test_in_process_when_forking_is_unsafe_or_pointless(tmp_path, instance_path,
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
     assert harness._sweep_workers(inst, "gd", 5) == 1
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    with monkeypatch.context() as without:  # workers run only pinned to CPUs
+        without.delattr(os, "sched_setaffinity")
+        assert harness._sweep_workers(inst, "gd", 5) == 1
+        run_sweep(instance_path, "gd", FRACTIONS, out_dir=tmp_path / "noaffinity")
     monkeypatch.delattr(os, "fork")
     assert harness._sweep_workers(inst, "gd", 5) == 1
     run_sweep(instance_path, "gd", FRACTIONS, out_dir=tmp_path / "nofork")
