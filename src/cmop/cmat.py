@@ -71,21 +71,20 @@ def re_frob_inner(x: ComplexMatrix, y: ComplexMatrix) -> float | RealVector:
 
 def frob_norm(x: ComplexMatrix) -> float:
     """Frobenius norm: sqrt of the summed squared moduli of all entries."""
-    x = np.asarray(x)
-    return float(np.sqrt(max(np.vdot(x, x).real, 0.0)))
+    return math.sqrt(np.vdot(x, x).real)
 
 
 def row_sq_norms(w: ComplexMatrix) -> RealVector:
     """Squared Euclidean norm of each row: entry n is sum_k |w[n,k]|^2.
 
     A ``(*lead, N, K)`` stack gives shape ``(*lead, N)``. The sums run over
-    contiguous copies of the real and imaginary parts, so each matrix of a
-    stack gets the same bits as a 2-D call on it.
+    one contiguous copy of the real parts stacked on the imaginary parts,
+    so each matrix of a stack gets the same bits as a 2-D call on it.
     """
     w = np.asarray(w)
-    re = np.ascontiguousarray(w.real)
-    im = np.ascontiguousarray(w.imag)
-    return np.einsum("...j,...j->...", re, re) + np.einsum("...j,...j->...", im, im)
+    parts = np.array((w.real, w.imag))
+    sq = np.einsum("...j,...j->...", parts, parts)
+    return sq[0] + sq[1]
 
 
 def uniform_cmatrix(rng: np.random.Generator, scale: float, shape) -> ComplexMatrix:

@@ -536,9 +536,8 @@ def run_sweep(
     aborting the sweep.
 
     Every step is resolved first; a spec that does not resolve gets its
-    error row at once. Under the fixed-step linear rates a solve's
-    iteration count grows like 1/alpha, so the resolved steps are split by
-    that cost, longest first, into ``_sweep_workers`` groups. The first
+    error row at once. The resolved steps are split by their
+    :func:`_step_cost`, longest first, into ``_sweep_workers`` groups. The first
     group runs in this process and every other group in a forked child,
     which writes its own ``trace_<i>.csv`` files and sends its summary rows
     back. The split depends only on the instance, the specs and L, and
@@ -574,7 +573,8 @@ def run_sweep(
 
     indices = list(steps)
     split = _lpt_groups(
-        [1.0 / steps[i][1] for i in indices], _sweep_workers(instance, method, len(indices))
+        [_step_cost(pre, steps[i][1]) for i in indices],
+        _sweep_workers(instance, method, len(indices)),
     )
     for row in _run_groups([[indices[j] for j in group] for group in split], run_group):
         rows[row["index"]] = row
@@ -658,6 +658,25 @@ def _sweep_workers(instance: ProblemInstance, method: str, steps: int) -> int:
     ):
         return 1
     return max(1, min(_usable_cpus(), steps))
+
+
+def _step_cost(pre: Precomputed, alpha: float) -> float:
+    """A fixed-step solve's iteration count with step ``alpha``, up to a
+    factor that is the same for every step on ``pre``.
+
+    With x = alpha L and q = lambda_min / L (lambda_min clamped at 0),
+    gradient descent contracts by max(|1 - x|, 1 - x q) per iteration, so
+    it takes about 1 / min(1 - |1 - x|, x q) iterations. For x < 2 that is
+    max(1/x, q / (2 - x)) / q, and the cost is the numerator: 1/x up to
+    x = 1, which covers every step of the projected method's interval
+    (0, 1/L), then rising again towards x = 2 (unless q = 0). A step at or
+    beyond 2/L diverges within a few iterations and costs 1/x.
+    """
+    x = alpha * pre.lipschitz
+    if x >= 2.0:
+        return 1.0 / x
+    q = max(pre.lambda_min, 0.0) / pre.lipschitz
+    return max(1.0 / x, q / (2.0 - x))
 
 
 def _lpt_groups(costs: list[float], workers: int) -> list[list[int]]:

@@ -62,19 +62,28 @@ def project_rows(w: ComplexMatrix, ball: RowBall) -> ComplexMatrix:
     w = np.asarray(w)
     if w.ndim < 2:
         raise DimensionError(f"expected a matrix or a stack of matrices, got ndim={w.ndim}")
-    r = ball.radius
-    ell = np.sqrt(row_sq_norms(w))
-    mask = (ell - r) > _BOUNDARY_BAND
-    if not np.any(mask):
+    scale = _row_scale(row_sq_norms(w), ball.radius)
+    if scale is None:
         return w.copy()
     # Integer input would be truncated to integers; scale it as floats.
     out = w.copy() if w.dtype.kind in "fc" else w.astype(np.float64)
     # Scale the real and imaginary parts as reals (a complex factor would
-    # turn a -0.0 real part into +0.0); rows left alone are multiplied by
-    # exactly 1.0, which keeps their bits.
+    # turn a -0.0 real part into +0.0).
     parts = out.view(out.real.dtype)
-    parts *= np.where(mask, r / np.maximum(ell, r), 1.0)[..., None]
+    parts *= scale[..., None]
     return out
+
+
+def _row_scale(sq_norms: RealVector, r: float) -> RealVector | None:
+    """Per-row factors onto the ball of radius r, for rows with squared
+    norms ``sq_norms``: r / norm for a row longer than r by more than
+    _BOUNDARY_BAND, exactly 1.0 (which keeps a row's bits) for every other
+    row. None when no row is that long."""
+    ell = np.sqrt(sq_norms)
+    mask = (ell - r) > _BOUNDARY_BAND
+    if not np.count_nonzero(mask):
+        return None
+    return np.where(mask, r / np.maximum(ell, r), 1.0)
 
 
 def is_feasible(w: ComplexMatrix, ball: RowBall, tol: float = 0.0) -> bool:

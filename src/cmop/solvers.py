@@ -18,11 +18,26 @@ each counted as 8 real flops (4 multiplies + 4 adds), i.e.
 bookkeeping are excluded as lower-order terms. Under the same convention
 the real-stacked mirror performs 4 real multiply-adds (2 flops each) per
 complex one, so its per-iteration count is identical.
+
+Kernel bit-identity
+-------------------
+At paper scale (10 x 5 x 8) an iteration is a dozen numpy calls on tiny
+arrays, so the kernel is written to make as few calls as it can. Every such
+trimming keeps each output bit: ``w_final``, every recorded iterate, every
+trace field and the stop reason are the same as those of the plain loop
+kept in ``tests/kernel_reference.py``, which ``tests/test_kernel.py``
+checks over edge-case instances (N > M, A = 0, data scaled by 10^+-6,
+-0.0 parts, diverging steps). Traces therefore stay byte-reproducible
+across such changes. Timing iterations changes only ``elapsed_ns``, and
+``project_rows`` is looked up in this module at every call, so a wrapper
+installed at ``cmop.solvers.project_rows`` sees all ``iterations + 1``
+projections of a projected solve.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import warnings
 
@@ -42,7 +57,7 @@ from .objective import (
     _residual_objective,
     quad_objective_constant,
 )
-from .projection import _BOUNDARY_BAND, RowBall, project_rows
+from .projection import RowBall, _row_scale, project_rows
 
 STOP_DECREASE = "decrease-below-tau"
 STOP_MAX_ITER = "max-iter"
@@ -161,11 +176,6 @@ def resolve_alpha(config: SolverConfig, lipschitz: float, mode: str) -> float:
     return alpha
 
 
-def _quad_value(w, gw, b, const):
-    """M-free objective via the cached quadratic form."""
-    return 0.5 * float(np.vdot(w, gw).real) - float(np.vdot(w, b).real) + const
-
-
 def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
     """The fixed-step iteration W <- P(W - alpha (G W - B)) behind every
     iterative solver.
@@ -179,10 +189,13 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
     if project is not None:
         w = project(w)
     gw = g @ w
-    f = _quad_value(w, gw, b, const)
-    if not np.isfinite(f):
+    f = 0.5 * float(np.vdot(w, gw).real) - float(np.vdot(w, b).real) + const
+    if not math.isfinite(f):
         raise InputError("objective is non-finite at the initial iterate")
-    f_start = f
+    f_limit = _DIVERGENCE_FACTOR * f
+    tau = config.tau
+    timed = config.time_iterations
+    record_trace = config.record_trace
     trace: list[IterationRecord] = []
     iterates: list[ComplexMatrix] | None = None
     if config.record_iterates:
@@ -190,10 +203,12 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
 
     stop_reason = STOP_MAX_ITER
     iterations = 0
+    elapsed = 0
     for t in range(config.max_iter):
-        t0 = time.perf_counter_ns() if config.time_iterations else 0
+        if timed:
+            t0 = time.perf_counter_ns()
         grad = gw - b
-        grad_norm = frob_norm(grad)
+        grad_norm = math.sqrt(np.vdot(grad, grad).real)
         w_next = w - alpha * grad
         if project is not None:
             w_next = project(w_next)
@@ -206,19 +221,20 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
             np.vdot(delta, gw_next - gw).real
         )
         gw = gw_next
-        f_next = _quad_value(w_next, gw, b, const)
-        step_norm = frob_norm(delta)
-        elapsed = time.perf_counter_ns() - t0 if config.time_iterations else 0
-        if config.record_trace:
+        f_next = 0.5 * float(np.vdot(w_next, gw).real) - float(np.vdot(w_next, b).real) + const
+        step_norm = math.sqrt(np.vdot(delta, delta).real)
+        if timed:
+            elapsed = time.perf_counter_ns() - t0
+        if record_trace:
             trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
         if iterates is not None:
             iterates.append(to_complex(w_next))
         w, f = w_next, f_next
         iterations = t + 1
-        if not np.isfinite(f) or f > _DIVERGENCE_FACTOR * f_start:
+        if not math.isfinite(f) or f > f_limit:
             stop_reason = STOP_DIVERGED
             break
-        if decrease < config.tau:
+        if decrease < tau:
             stop_reason = STOP_DECREASE
             break
 
@@ -290,17 +306,12 @@ def _unstack_real(u, n):
 def _project_stacked(u, n, ball):
     """Row-ball projection in the stacked representation: original row i
     couples stacked rows i and n + i."""
-    r = ball.radius
-    rs = np.einsum("ij,ij->i", u[:n], u[:n]) + np.einsum("ij,ij->i", u[n:], u[n:])
-    ell = np.sqrt(rs)
-    mask = (ell - r) > _BOUNDARY_BAND
-    if not np.any(mask):
+    parts = u.reshape(2, n, -1)
+    sq = np.einsum("...j,...j->...", parts, parts)
+    scale = _row_scale(sq[0] + sq[1], ball.radius)
+    if scale is None:
         return u.copy()
-    out = u.copy()
-    scale = (r / ell[mask])[:, None]
-    out[:n][mask] = u[:n][mask] * scale
-    out[n:][mask] = u[n:][mask] * scale
-    return out
+    return (parts * scale[:, None]).reshape(u.shape)
 
 
 def real_augmented_pgd(

@@ -85,12 +85,36 @@ def test_mixed_specs_keep_index_order(tmp_path, instance_path, capsys, monkeypat
 def test_partition_longest_first():
     inst = make_instance(0)
     pre = precompute(inst)
-    costs = [1.0 / harness._configure(pre, "gd", spec)[1] for spec in FRACTIONS]
+    costs = [harness._step_cost(pre, harness._configure(pre, "gd", spec)[1]) for spec in FRACTIONS]
     assert harness._lpt_groups(costs, 2) == [[0], [1, 2, 3, 4]]
     for workers in range(1, 7):
         groups = harness._lpt_groups(costs, workers)
         assert len(groups) == workers
         assert sorted(i for group in groups for i in group) == list(range(5))
+
+
+def test_step_cost_follows_the_gd_rate(tmp_path, monkeypatch, forks):
+    # kappa = L / lambda_min = 7.0: gd takes 531, 179, 106 and 748
+    # iterations. Priced at 1/alpha, f0.99 would cost a tenth of f0.1 and
+    # share a worker with f0.3 and f0.5 (1033 iterations against 531).
+    path = tmp_path / "inst.cmop.json"
+    write_instance(gen_instance(seed=5003), path)
+    pre = precompute(make_instance(5003))
+    assert pre.lipschitz / pre.lambda_min == pytest.approx(7.0, abs=0.05)
+    specs = ["f0.1", "f0.3", "f0.5", "f0.99"]
+    split = []
+    run_groups = harness._run_groups
+    monkeypatch.setattr(harness, "_run_groups", lambda groups, run: split.append(groups)
+                        or run_groups(groups, run))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    rows = run_sweep(path, "gd", specs, out_dir=tmp_path / "s")
+    iterations = [int(row["iterations"]) for row in rows]
+    assert max(iterations) == iterations[3]
+    assert split == [[[3], [0, 1, 2]]]
+    assert len(forks) == 1
+    for spec in specs:  # projected steps: x = alpha L < 1, cost 1/x
+        alpha = harness._configure(pre, "pgd", spec)[1]
+        assert harness._step_cost(pre, alpha) == 1.0 / (alpha * pre.lipschitz)
 
 
 def _deny(records, path):
