@@ -63,8 +63,8 @@ def assert_bit_identical(new, ref):
 
 
 def _with_negative_zeros(rng, x, real=True):
-    """x with a random third of its imaginary parts, and with ``real`` of
-    its real parts, set to -0.0."""
+    """x as complex, with a random third of its imaginary parts set to
+    -0.0 and, if ``real``, a random third of its real parts too."""
     re = np.where(rng.random(x.shape) < 1 / 3, -0.0, x.real) if real else x.real
     out = np.empty(x.shape, complex)
     out.real, out.imag = re, np.where(rng.random(x.shape) < 1 / 3, -0.0, x.imag)

@@ -104,8 +104,12 @@ def test_step_cost_follows_the_gd_rate(tmp_path, monkeypatch, forks):
     specs = ["f0.1", "f0.3", "f0.5", "f0.99"]
     split = []
     run_groups = harness._run_groups
-    monkeypatch.setattr(harness, "_run_groups", lambda groups, run: split.append(groups)
-                        or run_groups(groups, run))
+
+    def recording(groups, run_group):
+        split.append(groups)
+        return run_groups(groups, run_group)
+
+    monkeypatch.setattr(harness, "_run_groups", recording)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     rows = run_sweep(path, "gd", specs, out_dir=tmp_path / "s")
     iterations = [int(row["iterations"]) for row in rows]
