@@ -14,6 +14,13 @@ independently and uniformly from [-range, range]. Floats are serialized
 with shortest round-trip precision (up to 17 significant digits), so a
 write/read cycle reproduces every number exactly.
 
+The reader walks the top-level object one member at a time and turns each
+array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``, ``w_im`` in
+solution files) into a float64 array as soon as it is parsed, so a read
+never holds the whole document as Python floats. What it returns, and
+every error it raises, is what ``json.loads`` of the file would give with
+those fields converted.
+
 Trace files are CSV with header
 ``iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns``, LF line
 endings and '.' decimal separator. Iteration timing is off by default, so
@@ -32,6 +39,7 @@ import dataclasses
 import json
 import os
 import pickle
+import re
 import signal
 import sys
 import threading
@@ -147,7 +155,7 @@ def _require_fields(doc: dict, kind: str, fields) -> None:
 def _int_fields(doc: dict, names) -> list[int]:
     try:
         return [int(doc[name]) for name in names]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"fields {', '.join(names)} must be integers") from exc
 
 
@@ -155,7 +163,7 @@ def _float_array(doc: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
     """A document field as a finite float64 array of the given shape."""
     try:
         arr = np.asarray(doc[field], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"field {field!r} is not a numeric array") from exc
     if arr.shape != shape:
         raise InputError(f"field {field!r} must have shape {shape}, got {arr.shape}")
@@ -164,14 +172,81 @@ def _float_array(doc: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
     return arr
 
 
+_ARRAY_FIELDS = {"instance": ("h_re", "h_im", "a_re", "a_im"), "solution": ("w_re", "w_im")}
+_JSON_WS = re.compile(r"[ \t\n\r]*")  # JSON's four whitespace characters, as json.loads skips
+_DECODER = json.JSONDecoder()
+
+
+def _walk_object(text: str, arrays) -> dict | None:
+    """Parse a top-level JSON object one member at a time.
+
+    Each member named in ``arrays`` becomes a float64 array as soon as it
+    is parsed, so its nested lists of Python floats are freed before the
+    next member is read. A value that does not convert stays as parsed.
+    Anything this walk does not follow (a top level that is not an
+    object, a syntax error, trailing data, nesting past the recursion
+    limit) returns None, and the caller re-parses with ``json.loads``.
+    Otherwise the result equals ``json.loads(text)`` with those members
+    converted, duplicate keys included: the last value wins in the first
+    key's position.
+    """
+    skip = _JSON_WS.match
+    decode = _DECODER.raw_decode
+    pos = skip(text).end()
+    if text[pos:pos + 1] != "{":
+        return None
+    doc = {}
+    pos = skip(text, pos + 1).end()
+    if text[pos:pos + 1] == "}":
+        pos += 1
+    else:
+        try:
+            while True:
+                if text[pos:pos + 1] != '"':
+                    return None
+                key, pos = decode(text, pos)
+                pos = skip(text, pos).end()
+                if text[pos:pos + 1] != ":":
+                    return None
+                value, pos = decode(text, skip(text, pos + 1).end())
+                if key in arrays:
+                    try:
+                        value = np.asarray(value, dtype=np.float64)
+                    except (TypeError, ValueError, OverflowError):
+                        pass  # _float_array reports it by field name
+                doc[key] = value
+                pos = skip(text, pos).end()
+                sep = text[pos:pos + 1]
+                pos += 1
+                if sep == "}":
+                    break
+                if sep != ",":
+                    return None
+                pos = skip(text, pos).end()
+        except (ValueError, RecursionError):
+            return None
+    if skip(text, pos).end() != len(text):
+        return None
+    return doc
+
+
 def _read_json_object(path, kind: str) -> dict:
-    """Parse an ASCII JSON file whose top level must be an object."""
+    """Parse an ASCII JSON file whose top level must be an object.
+
+    The array fields of ``kind`` come back as float64 arrays when they
+    convert; see :func:`_walk_object`. Errors are those of ``json.loads``.
+    """
     try:
-        doc = json.loads(Path(path).read_text(encoding="ascii"))
+        text = Path(path).read_text(encoding="ascii")
+        doc = _walk_object(text, _ARRAY_FIELDS[kind])
+        if doc is None:
+            doc = json.loads(text)
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
     except ValueError as exc:  # non-ASCII bytes, bad syntax, over-long integers
         raise InputError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{kind} file {path} is nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise InputError(f"{kind} file {path} must hold a JSON object, got {type(doc).__name__}")
     return doc
@@ -188,7 +263,7 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     arrays = {field: _float_array(doc, field, shape) for field, shape in shapes.items()}
     try:
         eta = float(doc["eta"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError("field 'eta' must be a number") from exc
     if not (eta > 0.0 and np.isfinite(eta)):
         raise InputError(f"field 'eta' must be positive and finite, got {eta}")
@@ -202,6 +277,13 @@ def write_instance(doc: dict, path) -> None:
 
 
 def read_instance(path) -> tuple[ProblemInstance, dict]:
+    """Read and validate an instance file.
+
+    Returns the problem and the document. The document's array fields
+    ``h_re``, ``h_im``, ``a_re`` and ``a_im`` are float64 arrays, converted
+    while the file is parsed; the other fields are as ``json.loads`` gives
+    them.
+    """
     doc = _read_json_object(path, "instance")
     return instance_from_document(doc), doc
 
@@ -219,6 +301,11 @@ def write_solution(w, path) -> None:
 
 
 def read_solution(path):
+    """Read a solution file as a complex N x K matrix.
+
+    Its ``w_re`` and ``w_im`` fields become float64 arrays while the file
+    is parsed, so the nested lists of one field are freed before the next.
+    """
     doc = _read_json_object(path, "solution")
     _require_fields(doc, "solution", ("n", "k", "w_re", "w_im"))
     n, k = _int_fields(doc, ("n", "k"))

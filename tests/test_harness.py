@@ -114,13 +114,29 @@ class TestInstanceRoundTrip:
             read_instance(tmp_path / "nope.json")
 
 
+def _instance_doc(**changes):
+    doc = gen_instance(seed=0)
+    doc.update(changes)
+    return json.dumps(doc).encode()
+
+
+def _huge_entry(field):
+    rows = gen_instance(seed=0)[field]
+    rows[0][0] = 10**400  # a float64 conversion overflows
+    return rows
+
+
 MALFORMED_INSTANCES = {
-    "non-ascii-byte": json.dumps(gen_instance(seed=0)).encode().replace(
-        b'"rng"', b'"r\xc3\xa9ng"'
-    ),
+    "non-ascii-byte": _instance_doc().replace(b'"rng"', b'"r\xc3\xa9ng"'),
     "top-level-number": b"7",
     "top-level-list": b"[1, 2]",
     "over-long-integer": b'{"m": ' + b"1" * 5000 + b"}",
+    "huge-integer-in-h-re": _instance_doc(h_re=_huge_entry("h_re")),
+    "huge-integer-eta": _instance_doc(eta=10**400),
+    "m-overflows-to-inf": _instance_doc().replace(b'"m": 10,', b'"m": 1e400,', 1),
+    "deeply-nested-extra-field": (
+        _instance_doc()[:-1] + b', "extra": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+    ),
 }
 
 
@@ -136,6 +152,7 @@ MALFORMED_SOLUTIONS = {
     "non-finite": _solution_doc(w_im=[[0.0, float("nan")], [0.0, 0.0]]),
     "top-level-number": b"7",
     "non-ascii-byte": _solution_doc().replace(b'"k"', b'"k\xc3\xa9"'),
+    "n-overflows-to-inf": _solution_doc().replace(b'"n": 2,', b'"n": 1e400,', 1),
 }
 
 
