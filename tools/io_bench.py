@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -51,7 +50,7 @@ from cmop import (  # noqa: E402
     write_instance,
     write_solution,
 )
-from run import machine_record  # noqa: E402  (perfbench's record of the machine)
+from run import child_env, machine_record  # noqa: E402  (perfbench's helpers)
 
 # name: (M, N, K, rounds)
 SIZES = {"paper": (10, 5, 8, 51), "large": (1000, 200, 256, 3)}
@@ -83,10 +82,9 @@ def _median_s(call, rounds: int) -> float:
 
 
 def _rss_rise_mb(reader: str, path: Path) -> float:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, reader, str(path)],
-                          env=env, capture_output=True, text=True, check=True, timeout=600)
+                          env=child_env(), capture_output=True, text=True, check=True,
+                          timeout=600)
     return int(proc.stdout) / 1024
 
 
