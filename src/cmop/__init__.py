@@ -30,7 +30,6 @@ from .diagnostics import (
 from .errors import (
     CmopError,
     ConfigError,
-    ContractError,
     DegenerateRowError,
     DimensionError,
     InputError,

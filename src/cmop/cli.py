@@ -26,7 +26,7 @@ from .harness import (
     run_sweep,
     write_instance,
 )
-from .solvers import STOP_DIVERGED
+from .solvers import STOP_DIVERGED, SolverConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -45,6 +45,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The instance and run options shared by solve, check and sweep.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("instance", help="instance file")
+    run.add_argument("--tau", type=float, default=SolverConfig.tau)
+    run.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    run.add_argument(
+        "--radius-is-eta",
+        action="store_true",
+        help="treat eta itself as the projection radius instead of sqrt(eta) "
+        "(pseudocode-compatibility mode)",
+    )
+
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("--m", type=int, default=10)
     gen.add_argument("--n", type=int, default=5)
@@ -59,8 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("-o", "--output", required=True, help="instance file to write")
 
-    solve = sub.add_parser("solve", help="run one solver on an instance")
-    solve.add_argument("instance", help="instance file")
+    solve = sub.add_parser("solve", parents=[run], help="run one solver on an instance")
     solve.add_argument("--method", choices=METHODS, default="gd")
     solve.add_argument(
         "--alpha",
@@ -68,16 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="step size: a number, or f<frac> for a fraction of the "
         "guaranteed interval (default f0.5)",
     )
-    solve.add_argument("--tau", type=float, default=1e-12)
-    solve.add_argument("--max-iter", type=int, default=100_000)
     solve.add_argument("--trace", default=None, help="trace CSV to write")
     solve.add_argument("-o", "--output", default=None, help="solution file to write")
-    solve.add_argument(
-        "--radius-is-eta",
-        action="store_true",
-        help="treat eta itself as the projection radius instead of sqrt(eta) "
-        "(pseudocode-compatibility mode)",
-    )
     solve.add_argument(
         "--time",
         action="store_true",
@@ -85,8 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "reproducibility of traces)",
     )
 
-    check = sub.add_parser("check", help="run certifiers and write a report")
-    check.add_argument("instance", help="instance file")
+    check = sub.add_parser("check", parents=[run], help="run certifiers and write a report")
     check.add_argument(
         "--w-source",
         choices=CHECK_SOURCES,
@@ -100,24 +102,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--report", default=None, help="report file to write")
     check.add_argument("--alpha", default="f0.5")
-    check.add_argument("--tau", type=float, default=1e-12)
-    check.add_argument("--max-iter", type=int, default=100_000)
     check.add_argument("--seed", type=int, default=None)
     check.add_argument("--w-file", default=None, help="solution file for --w-source file")
-    check.add_argument("--radius-is-eta", action="store_true")
 
-    sweep = sub.add_parser("sweep", help="run one solve per step size")
-    sweep.add_argument("instance", help="instance file")
+    sweep = sub.add_parser("sweep", parents=[run], help="run one solve per step size")
     sweep.add_argument("--method", choices=ITERATIVE_METHODS, default="gd")
     sweep.add_argument(
         "--alphas",
         required=True,
         help="comma-separated step sizes (numbers or f<frac> fractions)",
     )
-    sweep.add_argument("--tau", type=float, default=1e-12)
-    sweep.add_argument("--max-iter", type=int, default=100_000)
     sweep.add_argument("--out-dir", required=True)
-    sweep.add_argument("--radius-is-eta", action="store_true")
 
     return parser
 

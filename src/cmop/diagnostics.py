@@ -3,7 +3,7 @@ problem and per-iteration monitors for the solver guarantees.
 
 Every monitor evaluates a literal inequality with an explicit additive
 slack scaled to the magnitude of the quantities involved; slack constants
-live in the function signatures, not hidden inside. Each returns a
+are named, in the function signatures or as module constants. Each returns a
 :class:`MonitorReport` whose ``violations`` list one failing check per
 line-item (iteration or sample index, lhs, rhs, slack).
 """
@@ -41,6 +41,10 @@ MONITOR_LIPSCHITZ = "lemma3-lipschitz"
 # blocks of 16 cost 0.8 ms more per `cmop check` than 32, and blocks of 64
 # raise peak RSS by 0.3 MB over 32 for 0.4 ms less.
 _SAMPLE_BLOCK = 32
+
+# kkt_check's active band, as a fraction of eta, and its pass tolerance.
+_KKT_ACTIVE_BAND = 1e-6
+_KKT_PASS_TOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True)
@@ -98,31 +102,28 @@ def kkt_check(
     pre: Precomputed,
     instance: ProblemInstance,
     w: ComplexMatrix,
-    active_tol: float | None = None,
-    pass_tol: float = 1e-6,
 ) -> KktReport:
     """Recover multipliers from an iterate and score all four optimality
     conditions.
 
-    A row is treated as active when its squared norm is within
-    ``active_tol`` (default 1e-6 eta) of the budget. For active rows the
+    A row is treated as active when its squared norm is within 1e-6 eta of
+    the budget; an active row whose squared norm is at most the smallest
+    normal float raises DegenerateRowError. For active rows the
     multiplier is the real projection coefficient of the negative-gradient
     row onto the iterate row; whatever part of that row is not parallel to
     the iterate lands in the stationarity residual rather than being
-    dropped. ``passed`` requires stationarity <= pass_tol,
-    primal <= pass_tol * eta, and dual/complementarity <= pass_tol scaled
-    by max(1, max lambda) (times eta for complementarity).
+    dropped. ``passed`` requires stationarity <= 1e-6, primal <= 1e-6 eta,
+    and dual/complementarity <= 1e-6 scaled by max(1, max lambda) (times
+    eta for complementarity).
     """
     n, k = pre.b.shape
     w = _check_w_shape(w, n, k)
     eta = instance.eta
-    if active_tol is None:
-        active_tol = 1e-6 * eta
     rs = row_sq_norms(w)
     resid = pre.b - pre.g @ w
     lam = np.zeros(n)
     for i in range(n):
-        if rs[i] >= eta - active_tol:
+        if rs[i] >= eta - _KKT_ACTIVE_BAND * eta:
             if rs[i] <= np.finfo(float).tiny:
                 raise DegenerateRowError(
                     f"row {i} is active but has zero norm; multiplier unrecoverable"
@@ -132,10 +133,10 @@ def kkt_check(
     res = kkt_residuals_for(pre, instance, w, lam)
     lam_scale = max(1.0, float(np.max(lam, initial=0.0)))
     passed = (
-        res["stationarity"] <= pass_tol
-        and res["primal"] <= pass_tol * eta
-        and res["dual"] <= pass_tol * lam_scale
-        and res["complementarity"] <= pass_tol * eta * lam_scale
+        res["stationarity"] <= _KKT_PASS_TOL
+        and res["primal"] <= _KKT_PASS_TOL * eta
+        and res["dual"] <= _KKT_PASS_TOL * lam_scale
+        and res["complementarity"] <= _KKT_PASS_TOL * eta * lam_scale
     )
     return KktReport(
         stationarity_residual=res["stationarity"],

@@ -17,10 +17,6 @@ class ConfigError(CmopError, ValueError):
     """Invalid solver or step-size configuration."""
 
 
-class ContractError(CmopError, ValueError):
-    """A documented precondition was violated by the caller."""
-
-
 class SingularSystemError(CmopError, RuntimeError):
     """A linear solve failed or left a residual above the trust threshold."""
 

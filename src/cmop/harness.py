@@ -27,10 +27,10 @@ endings and '.' decimal separator. Iteration timing is off by default, so
 re-running a command with identical inputs yields byte-identical outputs.
 
 Step-size sweeps on small instances run their steps in forked worker
-processes, each pinned to one CPU, when two or more CPUs are usable and
-the platform has fork and CPU affinity calls; see :func:`run_sweep`. The
-outputs are byte-identical to a run in one process, and nothing selects
-between the two.
+processes, each pinned to one CPU in ascending CPU order, when two or more
+CPUs are usable and the platform has fork and CPU affinity calls; see
+:func:`run_sweep`. The outputs are byte-identical to a run in one process,
+and nothing selects between the two.
 """
 
 from __future__ import annotations
@@ -116,14 +116,15 @@ def gen_instance(
 
     Every real and imaginary component of H (M x N) and A (M x K) is
     uniform on [-rng_range, rng_range]; draw order is h_re, h_im, a_re,
-    a_im from a PCG64 stream.
+    a_im from a PCG64 stream. The span 2 rng_range and eta must be finite,
+    as the readers of the document require.
     """
     if m < 1 or n < 1 or k < 1:
         raise InputError(f"dimensions must be >= 1, got m={m} n={n} k={k}")
-    if not rng_range > 0.0:
-        raise InputError(f"range must be positive, got {rng_range}")
-    if not eta > 0.0:
-        raise InputError(f"eta must be positive, got {eta}")
+    if not (rng_range > 0.0 and np.isfinite(2.0 * rng_range)):
+        raise InputError(f"range must be positive with a finite span 2*range, got {rng_range}")
+    if not (eta > 0.0 and np.isfinite(eta)):
+        raise InputError(f"eta must be positive and finite, got {eta}")
     if seed is None:
         seed = default_seed()
     rng = np.random.default_rng(np.random.PCG64(seed))
@@ -234,10 +235,12 @@ def _read_json_object(path, kind: str) -> dict:
     """Parse an ASCII JSON file whose top level must be an object.
 
     The array fields of ``kind`` come back as float64 arrays when they
-    convert; see :func:`_walk_object`. Errors are those of ``json.loads``.
+    convert; see :func:`_walk_object`. Errors are those of ``json.loads``
+    on the file's text with its line endings kept, so their positions are
+    offsets in the file.
     """
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = Path(path).read_bytes().decode("ascii")
         doc = _walk_object(text, _ARRAY_FIELDS[kind])
         if doc is None:
             doc = json.loads(text)
@@ -403,22 +406,6 @@ def run_solver(
     return active_set_oracle(pre, instance)
 
 
-def _solve(
-    instance: ProblemInstance,
-    pre: Precomputed,
-    method: str,
-    alpha_spec: str,
-    radius_is_eta: bool,
-    **config_options,
-) -> tuple[SolveResult, float | None]:
-    """Build the solver config, resolve the step of an iterative method and
-    run one solve with solver warnings silenced (callers report an
-    out-of-interval step themselves). Returns (result, resolved step or
-    None for the direct methods)."""
-    config, resolved = _configure(pre, method, alpha_spec, **config_options)
-    return _run_quietly(instance, pre, method, config, radius_is_eta), resolved
-
-
 def _configure(
     pre: Precomputed, method: str, alpha_spec: str, **config_options
 ) -> tuple[SolverConfig, float | None]:
@@ -434,6 +421,7 @@ def _configure(
 
 
 def _run_quietly(instance, pre, method, config, radius_is_eta) -> SolveResult:
+    """One solve, solver warnings silenced: callers report a bad step."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run_solver(instance, pre, method, config, radius_is_eta)
@@ -447,21 +435,20 @@ def run_experiment(
     instance_path,
     method: str,
     alpha_spec: str = "f0.5",
-    tau: float = 1e-12,
-    max_iter: int = 100_000,
+    tau: float = SolverConfig.tau,
+    max_iter: int = SolverConfig.max_iter,
     trace_path=None,
     out_path=None,
     radius_is_eta: bool = False,
     time_iterations: bool = False,
-    stream=None,
 ) -> tuple[SolveResult, ExperimentSummary]:
     """Load an instance, run one solver, export the trace, print a summary."""
     instance, _ = read_instance(instance_path)
     pre = precompute(instance)
-    result, resolved = _solve(
-        instance, pre, method, alpha_spec, radius_is_eta,
-        tau=tau, max_iter=max_iter, time_iterations=time_iterations,
+    config, resolved = _configure(
+        pre, method, alpha_spec, tau=tau, max_iter=max_iter, time_iterations=time_iterations
     )
+    result = _run_quietly(instance, pre, method, config, radius_is_eta)
 
     in_interval = None
     if resolved is not None:
@@ -487,7 +474,7 @@ def run_experiment(
         lipschitz=pre.lipschitz,
         alpha_in_interval=in_interval,
     )
-    print(summary.line(), file=stream)
+    print(summary.line())
     return result, summary
 
 
@@ -516,12 +503,11 @@ def run_check(
     monitors: list[str],
     report_path=None,
     alpha_spec: str = "f0.5",
-    tau: float = 1e-12,
-    max_iter: int = 100_000,
+    tau: float = SolverConfig.tau,
+    max_iter: int = SolverConfig.max_iter,
     seed: int | None = None,
     radius_is_eta: bool = False,
     w_path=None,
-    stream=None,
 ) -> tuple[bool, list[str]]:
     """Run the requested certifiers and write their reports.
 
@@ -542,10 +528,11 @@ def run_check(
             raise InputError("w_source 'file' needs --w-file pointing at a solution")
         w = read_solution(w_path)
     else:
-        result, resolved = _solve(
-            instance, pre, w_source, alpha_spec, radius_is_eta,
+        config, resolved = _configure(
+            pre, w_source, alpha_spec,
             tau=tau, max_iter=max_iter, record_iterates="thm3" in monitors,
         )
+        result = _run_quietly(instance, pre, w_source, config, radius_is_eta)
         w = result.w_final
 
     reports: list = []
@@ -585,7 +572,7 @@ def run_check(
 
     if report_path is not None:
         _write_lines(report_path, lines)
-    print("\n".join(lines), file=stream)
+    print("\n".join(lines))
     return all_passed, lines
 
 
@@ -611,11 +598,10 @@ def run_sweep(
     instance_path,
     method: str,
     alpha_specs: list[str],
-    tau: float = 1e-12,
-    max_iter: int = 100_000,
+    tau: float = SolverConfig.tau,
+    max_iter: int = SolverConfig.max_iter,
     out_dir=".",
     radius_is_eta: bool = False,
-    stream=None,
 ) -> list[dict]:
     """Run one solve per step size, exporting a trace per run plus a
     combined summary table (alpha, iterations-to-threshold, final
@@ -669,7 +655,7 @@ def run_sweep(
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(str(row[col]) for col in SWEEP_COLUMNS) for row in rows]
     _write_lines(out / "summary.csv", lines)
-    print("\n".join(lines), file=stream)
+    print("\n".join(lines))
     return rows
 
 
@@ -786,15 +772,13 @@ def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
     error the children still running are killed, and every child is
     reaped with its pipe closed.
 
-    With more than one group, group g runs alone on the g-th CPU of
-    :func:`_cpu_order`, this process only until its group is done. On a
-    2-vCPU VM the scheduler was seen to keep an unpinned forked child on
-    its parent's CPU, where two processes were no faster than one. Group 0
-    stays on the CPU this process last ran on, so sweeps run side by side
-    keep the spread the kernel gave them instead of all starting on the
-    lowest-numbered CPU.
+    With more than one group, group g runs alone on the g-th usable CPU in
+    ascending order (modulo their number), this process only until its
+    group is done. On a 2-vCPU VM the scheduler was seen to keep an
+    unpinned forked child on its parent's CPU, where two processes were no
+    faster than one.
     """
-    cpus = _cpu_order() if len(groups) > 1 else []
+    cpus = sorted(os.sched_getaffinity(0)) if len(groups) > 1 else []
 
     def work(g: int) -> list[dict]:
         if cpus:
@@ -819,21 +803,6 @@ def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
             os.close(fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-def _cpu_order() -> list[int]:
-    """The CPUs this process may run on in ascending order, rotated to
-    start at the one it last ran on (read from Linux's /proc; without it,
-    at the lowest)."""
-    cpus = sorted(os.sched_getaffinity(0))
-    try:
-        with open("/proc/self/stat", "rb") as stat:
-            # Field 39; the fields after the parenthesized name start at 3.
-            last = int(stat.read().rpartition(b")")[2].split()[36])
-    except (OSError, IndexError, ValueError):
-        return cpus
-    start = cpus.index(last) if last in cpus else 0
-    return cpus[start:] + cpus[:start]
 
 
 def _fork(work, inherited: list[int]) -> tuple[int, int]:

@@ -96,10 +96,14 @@ def precompute(instance: ProblemInstance) -> Precomputed:
     steps resolved as fractions of 2/L or 1/L stay inside the guaranteed
     intervals. A top eigenvalue that rounds below zero (G = 0) is clamped
     to 0. The same eigensolve gives the smallest eigenvalue, which the
-    closed form uses to detect a singular G.
+    closed form uses to detect a singular G. Data so large that G or B
+    overflows float64 raise InputError.
     """
-    g = adjoint_product(instance.h, instance.h)
-    b = adjoint_product(instance.h, instance.a)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        g = adjoint_product(instance.h, instance.h)
+        b = adjoint_product(instance.h, instance.a)
+    if not (np.isfinite(g).all() and np.isfinite(b).all()):
+        raise InputError("H^H H or H^H A overflows float64: the instance's entries are too large")
     eig = np.linalg.eigvalsh(g)
     lipschitz = max(float(eig[-1]), 0.0)
     return Precomputed(g=g, b=b, lipschitz=lipschitz, lambda_min=float(eig[0]))

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .cmat import ComplexMatrix, RealVector, frob_norm, re_frob_inner, row_sq_norms
-from .errors import ContractError, DimensionError, InputError
+from .errors import DimensionError, InputError
 
 # Rows whose norm is within this band of the radius are left untouched, which
 # avoids gratuitous rescaling noise and makes the projection idempotent
@@ -98,17 +98,15 @@ def vi_residual(
     w_plus: ComplexMatrix,
     v: ComplexMatrix,
     w_test: ComplexMatrix,
-    ball: RowBall | None = None,
-    feas_tol: float = 1e-12,
 ) -> float | RealVector:
     """Variational-inequality residual Re<w_plus - w_test, v - w_plus>.
 
     With w_plus the projection of v and w_test any feasible point, the
     value is nonnegative up to rounding; a materially negative value
-    certifies a projection bug. When ``ball`` is given, w_test is checked
-    for feasibility and an infeasible probe is rejected. Stacked
-    ``(*lead, N, K)`` inputs give one residual per matrix (see
-    ``re_frob_inner``).
+    certifies a projection bug. Feasibility of w_test is the caller's
+    premise and is not checked: for an infeasible probe the value has no
+    sign guarantee. Stacked ``(*lead, N, K)`` inputs give one residual per
+    matrix (see ``re_frob_inner``).
     """
     w_plus = np.asarray(w_plus)
     v = np.asarray(v)
@@ -116,10 +114,6 @@ def vi_residual(
     if not (w_plus.shape == v.shape == w_test.shape):
         raise DimensionError(
             f"shape mismatch: {w_plus.shape}, {v.shape}, {w_test.shape}"
-        )
-    if ball is not None and not is_feasible(w_test, ball, feas_tol):
-        raise ContractError(
-            "w_test must be feasible for the row ball (some row exceeds the radius)"
         )
     return re_frob_inner(w_plus - w_test, v - w_plus)
 

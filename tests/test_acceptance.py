@@ -172,7 +172,7 @@ def test_c06_kkt_certification():
             alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=400_000, record_trace=False
         )
         res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
-        rep = kkt_check(pre, inst, res.w_final, pass_tol=1e-6)
+        rep = kkt_check(pre, inst, res.w_final)
         all_passed = all_passed and rep.passed
         orc = active_set_oracle(pre, inst)
         worst_gap = max(

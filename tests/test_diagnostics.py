@@ -68,7 +68,7 @@ class TestKktCheck:
         ball = RowBall.for_power_budget(inst.eta)
         cfg = SolverConfig(alpha="f0.9", tau=1e-14, max_iter=200_000, record_trace=False)
         res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
-        rep = kkt_check(pre, inst, res.w_final, pass_tol=1e-6)
+        rep = kkt_check(pre, inst, res.w_final)
         assert rep.passed
 
     def test_far_from_optimal_point_fails(self):
@@ -79,11 +79,15 @@ class TestKktCheck:
         assert not rep.passed
 
     def test_degenerate_active_row(self):
-        inst = make_instance(4)
+        # eta below the smallest normal float: a row with squared norm eta
+        # is active, yet too small to divide by.
+        inst = make_instance(4, eta=1e-310)
         pre = precompute(inst)
-        w = zero_w(inst)  # zero rows look active once the band covers eta
-        with pytest.raises(DegenerateRowError):
-            kkt_check(pre, inst, w, active_tol=inst.eta)
+        w = zero_w(inst)
+        w[2, 0] = np.sqrt(1e-310)
+        assert row_sq_norms(w)[2] < np.finfo(float).tiny
+        with pytest.raises(DegenerateRowError, match="row 2 "):
+            kkt_check(pre, inst, w)
 
     def test_residual_fields_nonnegative(self):
         inst = make_instance(5)
@@ -333,7 +337,7 @@ class TestOracleOutputCertifies:
             pre = precompute(inst)
             orc = active_set_oracle(pre, inst)
             assert orc.converged
-            rep = kkt_check(pre, inst, orc.w_final, pass_tol=1e-6)
+            rep = kkt_check(pre, inst, orc.w_final)
             assert rep.passed
 
 

@@ -21,7 +21,7 @@ from cmop import (
 )
 from cmop.cli import EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 from cmop.errors import InputError
-from cmop.harness import default_seed, iterations_to_threshold, parse_alpha_spec
+from cmop.harness import METHODS, default_seed, iterations_to_threshold, parse_alpha_spec
 from cmop.solvers import SolverConfig, gd_solve
 from helpers import make_instance, read_trace, zero_w
 
@@ -184,6 +184,25 @@ class TestMalformedFiles:
         ])
         assert code == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", [
+        *(["solve", "--method", method] for method in METHODS),
+        ["check", "--monitors", "kkt"],
+        ["sweep", "--alphas", "f0.5"],
+    ], ids=[*METHODS, "check", "sweep"])
+    def test_instance_whose_gram_overflows(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.cmop.json"
+        assert main(["gen", "--range", "1e200", "-o", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        out_dir = tmp_path / "sweep"
+        args = [command[0], str(path), *command[1:]]
+        if command[0] == "sweep":
+            args += ["--out-dir", str(out_dir)]
+        assert main(args) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err
+        assert not (out_dir / "summary.csv").exists()
 
     def test_trace_not_ascii(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -440,6 +459,14 @@ class TestCli:
         assert code == EXIT_INPUT
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [["--eta", "inf"], ["--range", "inf"], ["--range", "1e308"]])
+    def test_gen_refuses_documents_no_command_reads(self, tmp_path, capsys, option):
+        out = tmp_path / "g.cmop.json"
+        assert main(["gen", *option, "-o", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_rank_deficient_closed_form_is_a_one_line_error(self, tmp_path, capsys):
         inst = tmp_path / "r0.json"

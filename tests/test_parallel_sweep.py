@@ -1,8 +1,8 @@
 """Sweeps split over forked worker processes: the outputs do not depend on
 the number of workers, a failed worker is an error that leaves nothing
-behind and raises what the same steps raise in one process, the caller's
-CPU affinity is restored, and instances whose solves would start BLAS
-threads never fork."""
+behind and raises what the same steps raise in one process, groups are
+pinned in ascending CPU order and the caller's CPU affinity is restored,
+and instances whose solves would start BLAS threads never fork."""
 
 import os
 import threading
@@ -213,17 +213,31 @@ def test_error_in_this_process_stops_the_workers(tmp_path, instance_path, monkey
     assert os.sched_getaffinity(0) == affinity
 
 
-def test_cpu_order_starts_where_this_process_runs(monkeypatch):
-    cpus = sorted(os.sched_getaffinity(0))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
-    try:
-        for cpu in cpus:
-            os.sched_setaffinity(0, {cpu})  # this process now runs on cpu only
-            order = harness._cpu_order()
-            assert order[0] == cpu
-            assert order == cpus[cpus.index(cpu):] + cpus[:cpus.index(cpu)]
-    finally:
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="needs two usable CPUs")
+def test_this_process_runs_its_group_on_the_lowest_cpu(tmp_path, instance_path, monkeypatch,
+                                                       forks):
+    cpus = os.sched_getaffinity(0)
+    parent = os.getpid()
+    pinned = []
+    sweep_step, run_groups = harness._sweep_step, harness._run_groups
+
+    def recording(*args):
+        if os.getpid() == parent:
+            pinned.append(os.sched_getaffinity(0))
+        return sweep_step(*args)
+
+    def from_the_highest_cpu(groups, run_group):
+        os.sched_setaffinity(0, {max(cpus)})  # moves this process there
         os.sched_setaffinity(0, cpus)
+        return run_groups(groups, run_group)
+
+    monkeypatch.setattr(harness, "_sweep_step", recording)
+    monkeypatch.setattr(harness, "_run_groups", from_the_highest_cpu)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    run_sweep(instance_path, "gd", FRACTIONS, out_dir=tmp_path / "s")
+    assert len(forks) == 1
+    assert pinned and all(affinity == {min(cpus)} for affinity in pinned)
+    assert os.sched_getaffinity(0) == cpus
 
 
 @pytest.mark.parametrize("m, n, k, method", [

@@ -168,9 +168,9 @@ def as_float_array(value):
 
 
 def loads(path: Path):
-    """The reference: ``json.loads`` of the file's text as ``read_text``
-    gives it, with universal newlines."""
-    return json.loads(path.read_text(encoding="ascii"))
+    """The reference: ``json.loads`` of the file's bytes decoded as ASCII,
+    line endings kept, so error positions are file offsets."""
+    return json.loads(path.read_bytes().decode("ascii"))
 
 
 def expected_document(path: Path, kind: str) -> dict:
@@ -229,6 +229,14 @@ def test_non_json_whitespace_fails_as_json_loads_does(tmp_dir, doc, char, data):
     kind, text, gaps = doc
     at = data.draw(st.sampled_from(gaps))
     _assert_same_error(tmp_dir, text[:at] + char + text[at:], kind)
+
+
+def test_error_position_is_the_file_offset_on_crlf_lines(tmp_path):
+    content = b'{\r\n "m": 1,\r\n "n": x\r\n}\r\n'
+    path = tmp_path / "crlf.json"
+    path.write_bytes(content)
+    with pytest.raises(InputError, match=f"line 3 column 7 \\(char {content.index(b'x')}\\)"):
+        _read_json_object(path, "instance")
 
 
 def test_named_fields_come_back_as_arrays(tmp_path):
