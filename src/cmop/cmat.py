@@ -19,8 +19,8 @@ from .errors import DimensionError, InputError
 ComplexMatrix = np.ndarray
 RealVector = np.ndarray
 
-# Matrices per random call in uniform_cmatrix: a block of the
-# sample monitors (32 samples of two matrices) is one call.
+# Matrices per random call in uniform_cmatrix: a block of the lemma4
+# monitor (64 samples of one matrix) is one call.
 _DRAW_BLOCK = 64
 
 

@@ -6,6 +6,13 @@ slack scaled to the magnitude of the quantities involved; slack constants
 are named, in the function signatures or as module constants. Each returns a
 :class:`MonitorReport` whose ``violations`` list one failing check per
 line-item (iteration or sample index, lhs, rhs, slack).
+
+Two monitors certify exactly instead of sampling. ``lemma4-vi`` evaluates,
+for each drawn V, the projection inequality at its worst feasible probe,
+so its ``worst_slack`` is the smallest worst-case value over the draws.
+``lemma3-lipschitz`` proves the bound with one Cholesky factorization and
+reports a single check: its ``worst_slack`` is 0.0 when the proof
+succeeds and L (1 + delta) - lambda_max(G) < 0 when it fails.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import numpy as np
 from .cmat import (
     ComplexMatrix,
     RealVector,
+    adjoint_product,
     frob_norm,
     re_frob_inner,
     row_sq_norms,
@@ -26,7 +34,7 @@ from .cmat import (
 )
 from .errors import DegenerateRowError, DimensionError, InputError
 from .objective import Precomputed, ProblemInstance, _check_w_shape, _residual_objective
-from .projection import RowBall, project_rows, vi_residual
+from .projection import RowBall, project_rows
 from .solvers import IterationRecord, kkt_residuals_for
 
 MONITOR_THM2 = "thm2-descent"
@@ -38,9 +46,14 @@ MONITOR_LIPSCHITZ = "lemma3-lipschitz"
 
 # Samples the sample-based monitors evaluate together. Per-block numpy call
 # overhead falls with the block, while its temporaries grow: at 16 x 10 x 8,
-# blocks of 16 cost 0.8 ms more per `cmop check` than 32, and blocks of 64
-# raise peak RSS by 0.3 MB over 32 for 0.4 ms less.
-_SAMPLE_BLOCK = 32
+# lemma4 takes 0.2 ms longer per `cmop check` in blocks of 32 than of 64,
+# and blocks of 128 are slower again (two draw calls each, see
+# cmat._DRAW_BLOCK).
+_SAMPLE_BLOCK = 64
+
+# delta in the Lipschitz certificate's shift L (1 + delta), in units of
+# N eps.
+_LIPSCHITZ_SHIFT_ULPS = 64
 
 # kkt_check's active band, as a fraction of eta, and its pass tolerance.
 _KKT_ACTIVE_BAND = 1e-6
@@ -258,35 +271,35 @@ def monitor_lemma2(
     return _build_report(MONITOR_LEMMA2, _sample_checks(len(pairs), block_checks))
 
 
-def monitor_lipschitz(
-    h: ComplexMatrix,
-    lipschitz: float,
-    samples: int,
-    seed: int,
-) -> MonitorReport:
-    """Probe ||H d||^2 <= L ||d||^2 with seeded random complex directions d
-    (N x 1).
+def monitor_lipschitz(h: ComplexMatrix, lipschitz: float) -> MonitorReport:
+    """Prove ||H d||^2 <= L (1 + delta) ||d||^2 for every d, i.e.
+    lambda_max(G) <= L (1 + delta) with G = H^H H formed as ``precompute``
+    forms it.
 
-    Each check compares the bound L (1 + 1e-8) against the observed
-    Rayleigh ratio, so the report's worst_slack recovers the tightest ratio
-    seen: tightest = L (1 + 1e-8) - worst_slack. A block of S directions is
-    drawn as ``standard_normal((S, 2, N))``: per direction, the real parts,
-    then the imaginary parts, the order a per-sample loop would draw them.
+    One ``np.linalg.cholesky`` of L (1 + delta) I - G succeeds only if that
+    matrix is positive definite. delta = _LIPSCHITZ_SHIFT_ULPS N eps covers
+    the backward errors of the factorization and of the eigensolve that
+    computed L. A shifted matrix that is exactly zero (G = 0, L = 0) is
+    semidefinite, so the bound holds. The report holds one check,
+    (0, L (1 + delta), top, 0.0): top equals the bound when the proof
+    succeeds, so worst_slack is 0.0; when it fails, top is lambda_max(G)
+    from ``eigvalsh``, raised to just above the bound should the two
+    disagree at rounding level. A non-finite L or G raises InputError.
     """
-    if samples < 1:
-        raise InputError(f"need at least one sample, got {samples}")
-    h = np.asarray(h)
-    n = h.shape[1]
-    rng = np.random.default_rng(seed)
-    bound = lipschitz * (1.0 + 1e-8)
-
-    def block_checks(start, stop):
-        parts = rng.standard_normal((stop - start, 2, n))
-        d = (parts[:, 0] + 1j * parts[:, 1])[..., None]
-        hd = h @ d
-        return bound, re_frob_inner(hd, hd) / re_frob_inner(d, d), 0.0
-
-    return _build_report(MONITOR_LIPSCHITZ, _sample_checks(samples, block_checks))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        g = adjoint_product(h, h)
+        n = g.shape[0]
+        bound = lipschitz * (1.0 + _LIPSCHITZ_SHIFT_ULPS * n * np.finfo(float).eps)
+        shifted = bound * np.eye(n) - g
+    if not np.isfinite(shifted).all():  # a NaN factor would pass unnoticed
+        raise InputError(f"need a finite H^H H and L, got L = {lipschitz}")
+    try:
+        if shifted.any():
+            np.linalg.cholesky(shifted)
+        top = bound
+    except np.linalg.LinAlgError:
+        top = max(float(np.linalg.eigvalsh(g)[-1]), math.nextafter(bound, math.inf))
+    return _build_report(MONITOR_LIPSCHITZ, [(0, bound, top, 0.0)])
 
 
 def monitor_lemma4(
@@ -297,28 +310,29 @@ def monitor_lemma4(
     seed: int,
     v_scale: float,
 ) -> MonitorReport:
-    """Monte-Carlo check of the projection's variational inequality.
+    """Check the projection's variational inequality at its worst feasible
+    probe for ``samples`` random points V.
 
-    Draws ``samples`` pre-projection points V and probes (projected to be
-    feasible) W with entries uniform in real and imaginary part over
-    [-v_scale, v_scale], and requires
-    Re<P(V) - W, V - P(V)> >= -1e-12 (||V||_F^2 + ||W||_F^2) on every
-    triple. The slack scales with the data and has no absolute floor, so a
-    wrong projection shows at any radius. A block of S samples is one
-    ``uniform_cmatrix`` draw of S x 2 x N x K: per sample, V then the
-    probe, each real parts first, the order a per-sample loop would draw
-    them.
+    Each V has entries uniform in real and imaginary part over
+    [-v_scale, v_scale]. With P = project_rows(V) and D = V - P, the
+    smallest value of Re<P - W, D> over the ball is
+    Re<P, D> - r sum_n ||D_n||, reached at W_n = r D_n / ||D_n||. The
+    check requires that value >= -1e-12 ||V||_F^2, so worst_slack is the
+    smallest worst-case value over the draws. The slack scales with the
+    data and has no absolute floor, so a wrong projection shows at any
+    radius. A block of S samples is one ``uniform_cmatrix`` draw of
+    S x N x K, the stream a per-sample loop would draw.
     """
     if samples < 1:
         raise InputError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
 
     def block_checks(start, stop):
-        draws = uniform_cmatrix(rng, v_scale, (stop - start, 2, n, k))
-        projected = project_rows(draws, ball)
-        v, w = draws[:, 0], projected[:, 1]
-        slack = 1e-12 * (re_frob_inner(v, v) + re_frob_inner(w, w))
-        return vi_residual(projected[:, 0], v, w), 0.0, slack
+        v = uniform_cmatrix(rng, v_scale, (stop - start, n, k))
+        p = project_rows(v, ball)
+        d = v - p
+        support = ball.radius * np.sqrt(row_sq_norms(d)).sum(axis=-1)
+        return re_frob_inner(p, d) - support, 0.0, 1e-12 * re_frob_inner(v, v)
 
     return _build_report(MONITOR_LEMMA4, _sample_checks(samples, block_checks))
 
@@ -334,10 +348,12 @@ def monitor_report_lines(report: MonitorReport) -> list[str]:
     status = "passed" if report.passed else "FAILED"
     lines = [
         f"monitor {report.name} {status} "
-        f"violations={len(report.violations)} worst_slack={report.worst_slack!r}"
+        f"violations={len(report.violations)} worst_slack={float(report.worst_slack)!r}"
     ]
     for idx, lhs, rhs, slack in report.violations:
-        lines.append(f"violation {report.name} {idx} {lhs!r} {rhs!r} {slack!r}")
+        lines.append(
+            f"violation {report.name} {idx} {float(lhs)!r} {float(rhs)!r} {float(slack)!r}"
+        )
     return lines
 
 

@@ -380,7 +380,9 @@ def run_solver(
     radius_is_eta: bool = False,
     w0=None,
 ) -> SolveResult:
-    """Dispatch one solve. w0 defaults to the zero matrix (always feasible)."""
+    """Dispatch one solve. w0 defaults to the zero matrix (always feasible).
+    A closed form whose objective overflows raises InputError, as the
+    iterative methods do at a non-finite initial objective."""
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
     if w0 is None:
@@ -394,9 +396,12 @@ def run_solver(
         return real_augmented_pgd(pre, instance, w0, ball, config)
     if method == "closed":
         w = closed_form_unconstrained(pre)
+        objective = evaluate(pre, instance, w)
+        if not np.isfinite(objective):
+            raise InputError("objective is non-finite at the closed-form solution")
         return SolveResult(
             w_final=w,
-            objective=evaluate(pre, instance, w),
+            objective=objective,
             iterations=0,
             converged=True,
             stop_reason=STOP_KKT,
@@ -558,7 +563,7 @@ def run_check(
                 )
             )
         elif tag == "lipschitz":
-            reports.append(diagnostics.monitor_lipschitz(instance.h, pre.lipschitz, 1000, seed))
+            reports.append(diagnostics.monitor_lipschitz(instance.h, pre.lipschitz))
         else:  # kkt
             reports.append(diagnostics.kkt_check(pre, instance, w))
 

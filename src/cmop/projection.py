@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .cmat import ComplexMatrix, RealVector, frob_norm, re_frob_inner, row_sq_norms
+from .cmat import ComplexMatrix, RealVector, re_frob_inner, row_sq_norms
 from .errors import DimensionError, InputError
 
 # Rows whose norm is within this band of the radius are left untouched, which
@@ -117,8 +117,3 @@ def vi_residual(
         )
     return re_frob_inner(w_plus - w_test, v - w_plus)
 
-
-def vi_floor(v: ComplexMatrix) -> float:
-    """Documented rounding floor for the VI residual: -1e-10 (1 + ||v||_F^2)."""
-    nv = frob_norm(v)
-    return -1e-10 * (1.0 + nv * nv)

@@ -1,10 +1,13 @@
-"""Per-sample reference loops for the sample-based monitors.
+"""Reference versions of the sample and certificate monitors.
 
-Used only to cross-check the batched monitors in ``cmop.diagnostics``:
-each loop draws and evaluates one sample at a time, with ``np.vdot`` for
-every inner product, the way the monitors ran before they evaluated
-samples in blocks. ``project_rows`` is looked up in this module at call
-time, so a test can replace it here and in ``cmop.diagnostics`` alike.
+Used only to cross-check the monitors in ``cmop.diagnostics``. Each loop
+draws and evaluates one sample at a time, with ``np.vdot`` for every inner
+product. The lemma4 loop builds the worst feasible probe
+W_n = r D_n / ||D_n|| explicitly and evaluates the inequality there, where
+the monitor uses its closed-form value. The Lipschitz certificate is
+decided by an eigensolve in place of a Cholesky factorization.
+``project_rows`` is looked up in this module at call time, so a test can
+replace it here and in ``cmop.diagnostics`` alike.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ from cmop.diagnostics import (
     MONITOR_LEMMA2,
     MONITOR_LEMMA4,
     MONITOR_LIPSCHITZ,
+    _LIPSCHITZ_SHIFT_ULPS,
     _build_report,
 )
 
@@ -21,11 +25,6 @@ from cmop.diagnostics import (
 def draw_cmatrix(rng, scale, shape):
     """One complex matrix: all real parts, then all imaginary parts."""
     return rng.uniform(-scale, scale, shape) + 1j * rng.uniform(-scale, scale, shape)
-
-
-def draw_direction(rng, n):
-    """One N x 1 complex direction: real parts, then imaginary parts."""
-    return rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
 
 
 def _re_inner(x, y):
@@ -44,15 +43,25 @@ def monitor_lemma2(pre, instance, pairs):
     return _build_report(MONITOR_LEMMA2, checks)
 
 
-def monitor_lipschitz(h, lipschitz, samples, seed):
-    rng = np.random.default_rng(seed)
-    bound = lipschitz * (1.0 + 1e-8)
-    checks = []
-    for i in range(samples):
-        d = draw_direction(rng, h.shape[1])
-        hd = h @ d
-        checks.append((i, bound, _re_inner(hd, hd) / _re_inner(d, d), 0.0))
-    return _build_report(MONITOR_LIPSCHITZ, checks)
+def monitor_lipschitz(h, lipschitz):
+    """The Lipschitz certificate decided by the dense eigenvalues of
+    G = H^H H: the bound L (1 + delta) holds iff it is at least
+    lambda_max(G)."""
+    g = np.conj(h).T @ h
+    bound = lipschitz * (1.0 + _LIPSCHITZ_SHIFT_ULPS * len(g) * np.finfo(float).eps)
+    top = float(np.linalg.eigvalsh(g)[-1])
+    return _build_report(MONITOR_LIPSCHITZ, [(0, bound, bound if top <= bound else top, 0.0)])
+
+
+def worst_probe(d, radius):
+    """The feasible W minimising Re<P - W, D>: W_n = r D_n / ||D_n||, and
+    W_n = 0 where D_n = 0 (any feasible row gives the same value)."""
+    w = np.zeros_like(d)
+    for i, row in enumerate(d):
+        norm = float(np.sqrt(_re_inner(row, row)))
+        if norm > 0.0:
+            w[i] = radius * row / norm
+    return w
 
 
 def monitor_lemma4(ball, n, k, samples, seed, v_scale):
@@ -60,9 +69,8 @@ def monitor_lemma4(ball, n, k, samples, seed, v_scale):
     checks = []
     for i in range(samples):
         v = draw_cmatrix(rng, v_scale, (n, k))
-        probe = draw_cmatrix(rng, v_scale, (n, k))
-        w_test = project_rows(probe, ball)
         w_plus = project_rows(v, ball)
-        slack = 1e-12 * (_re_inner(v, v) + _re_inner(w_test, w_test))
-        checks.append((i, _re_inner(w_plus - w_test, v - w_plus), 0.0, slack))
+        d = v - w_plus
+        w_test = worst_probe(d, ball.radius)
+        checks.append((i, _re_inner(w_plus - w_test, d), 0.0, 1e-12 * _re_inner(v, v)))
     return _build_report(MONITOR_LEMMA4, checks)

@@ -11,6 +11,7 @@ from cmop import (
     instance_from_document,
     precompute,
     closed_form_unconstrained,
+    project_rows,
     read_instance,
     read_solution,
     run_check,
@@ -203,6 +204,18 @@ class TestMalformedFiles:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "overflows" in err
         assert not (out_dir / "summary.csv").exists()
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_instance_whose_objective_overflows(self, tmp_path, capsys, method):
+        # G and B stay finite at range 3e153, but 1/2 ||H W - A||^2 does not.
+        path = tmp_path / "big.cmop.json"
+        assert main(["gen", "--seed", "0", "--range", "3e153", "-o", str(path)]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "w.json"
+        assert main(["solve", str(path), "--method", method, "-o", str(out)]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_trace_not_ascii(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -435,6 +448,38 @@ class TestCli:
         ])
         capsys.readouterr()
         assert code == EXIT_CHECK_FAILED
+
+    def test_certify_report_fields_parse_as_floats(self, tmp_path, capsys, monkeypatch):
+        import cmop.diagnostics
+
+        inst = tmp_path / "c0.json"
+        main(["gen", "--seed", "0", "--m", "16", "--n", "8", "--k", "8", "--eta", "0.01",
+              "-o", str(inst)])
+        argv = ["check", str(inst), "--w-source", "pgd",
+                "--monitors", "thm3,kkt,lemma2,lemma4,lipschitz", "--seed", "0"]
+        assert main(argv) == EXIT_OK
+        passing = capsys.readouterr().out
+        # Planted faults give the lemma4 and lipschitz monitors violation lines.
+        monkeypatch.setattr(
+            cmop.diagnostics, "project_rows", lambda w, ball: 0.5 * project_rows(w, ball)
+        )
+        lipschitz = cmop.diagnostics.monitor_lipschitz
+        monkeypatch.setattr(
+            cmop.diagnostics, "monitor_lipschitz", lambda h, bound: lipschitz(h, 0.5 * bound)
+        )
+        assert main(argv) == EXIT_CHECK_FAILED
+        lines = (passing + capsys.readouterr().out).splitlines()
+        summaries = [line.split() for line in lines if line.startswith("monitor ")]
+        violations = [line.split() for line in lines if line.startswith("violation ")]
+        assert len(summaries) == 10
+        assert {fields[1] for fields in violations} == {"lemma4-vi", "lemma3-lipschitz"}
+        for _, _, _, count, worst in summaries:
+            float(count.removeprefix("violations="))
+            float(worst.removeprefix("worst_slack="))
+        for fields in violations:
+            assert len(fields) == 6
+            for field in fields[2:]:
+                float(field)
 
     def test_sweep_outputs(self, tmp_path, capsys):
         inst = tmp_path / "i.json"

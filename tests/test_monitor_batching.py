@@ -1,6 +1,5 @@
-"""The batched sample monitors against their per-sample reference loops:
-the random draws, the stacked projection, and the reports, with and
-without a planted fault."""
+"""The monitors against their reference versions: the random draws, the
+stacked projection, and the reports, with and without a planted fault."""
 
 import dataclasses
 
@@ -27,9 +26,11 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
-def half_shrinking(w, ball):
-    """A bogus projection: the true one, halved."""
-    return 0.5 * project_rows(w, ball)
+# Wrong projections the lemma4 certificate must flag on every sample.
+FAULTY_PROJECTIONS = {
+    "halved": lambda w, ball: 0.5 * project_rows(w, ball),
+    "small-ball": lambda w, ball: project_rows(w, RowBall(0.999 * ball.radius)),
+}
 
 
 class TestDrawLayout:
@@ -41,15 +42,6 @@ class TestDrawLayout:
         loop = [reference.draw_cmatrix(loop_rng, 2.5, (n, k)) for _ in range(int(np.prod(lead)))]
         assert np.array_equal(_bits(stacked), _bits(np.reshape(loop, stacked.shape)))
         assert stacked_rng.random() == loop_rng.random()
-
-    def test_direction_block_is_the_per_sample_stream(self):
-        # monitor_lipschitz draws S directions as standard_normal((S, 2, N)).
-        n, s = 6, 9
-        parts = np.random.default_rng(8).standard_normal((s, 2, n))
-        block = (parts[:, 0] + 1j * parts[:, 1])[..., None]
-        loop_rng = np.random.default_rng(8)
-        loop = [reference.draw_direction(loop_rng, n) for _ in range(s)]
-        assert np.array_equal(_bits(block), _bits(np.stack(loop)))
 
 
 class TestStackedProjectRows:
@@ -94,16 +86,16 @@ class TestStackedProjectRows:
 
 @st.composite
 def monitor_cases(draw):
-    """Shapes, seeds and a scale: N 1-8, K 1-4, M 1-8 (M < N gives a
-    rank-deficient H), 1-40 samples (partial and several blocks), data
-    scaled by 10^-6, 1 or 10^6, and whether to plant the fault."""
+    """Shapes, seeds and a scale: N 1-8, K 1-8, M 1-8 (M < N gives a
+    rank-deficient H), 1-150 samples (partial and several blocks), data
+    scaled by 10^-6, 1 or 10^6, and which fault to plant, if any."""
     n = draw(st.integers(1, 8))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
     m = draw(st.integers(1, 8))
-    samples = draw(st.integers(1, 40))
+    samples = draw(st.integers(1, 150))
     seed = draw(st.integers(0, 2**32 - 1))
     scale = 10.0 ** draw(st.sampled_from([-6, 0, 6]))
-    fault = draw(st.booleans())
+    fault = draw(st.sampled_from([None, *sorted(FAULTY_PROJECTIONS)]))
     return n, k, m, samples, seed, scale, fault
 
 
@@ -121,33 +113,34 @@ def _run_lemma2(n, k, m, samples, seed, scale, fault):
     base = uniform_cmatrix(rng, 1.0, (samples, n, k))
     step = uniform_cmatrix(rng, 1.0, (samples, n, k)) * rng.choice([0.01, 1.0], (samples, 1, 1))
     pairs = list(zip(base + step, base))
-    return monitor_lemma2(pre, inst, pairs), reference.monitor_lemma2(pre, inst, pairs)
+    return monitor_lemma2(pre, inst, pairs), reference.monitor_lemma2(pre, inst, pairs), None
 
 
 def _run_lipschitz(n, k, m, samples, seed, scale, fault):
     h = scale * uniform_cmatrix(np.random.default_rng(seed), 1.0, (m, n))
     lipschitz = precompute(ProblemInstance(h=h, a=np.zeros((m, 1)), eta=1.0)).lipschitz
     if fault:
-        lipschitz *= 0.5
-    return (
-        monitor_lipschitz(h, lipschitz, samples, seed),
-        reference.monitor_lipschitz(h, lipschitz, samples, seed),
-    )
+        lipschitz *= 1.0 - 1e-6
+    return monitor_lipschitz(h, lipschitz), reference.monitor_lipschitz(h, lipschitz), None
 
 
 def _run_lemma4(n, k, m, samples, seed, scale, fault):
     if fault:
-        # Random probes see a halved projection only in a few real
-        # dimensions: at N = 5, K = 8 none of 500 samples flags it.
-        n, k = 1 + n % 3, 1
+        n, k = 5, 8  # paper scale, where random probes never met these faults
     ball = RowBall(scale)
-    # v_scale near the radius keeps rows on both sides of the boundary.
-    args = (ball, n, k, samples, seed, scale * (0.25 + 0.5 * (seed % 4)))
+    # v_scale near the radius keeps rows on both sides of the boundary; from
+    # 0.75 r on, every paper-scale draw has a row outside 0.999 r.
+    spreads = (0.75, 1.25, 4.0) if fault else (0.25, 0.75, 1.25, 4.0)
+    v_scale = scale * spreads[seed % len(spreads)]
+    args = (ball, n, k, samples, seed, v_scale)
     with pytest.MonkeyPatch.context() as patch:
         if fault:
-            patch.setattr(cmop.diagnostics, "project_rows", half_shrinking)
-            patch.setattr(reference, "project_rows", half_shrinking)
-        return monitor_lemma4(*args), reference.monitor_lemma4(*args)
+            patch.setattr(cmop.diagnostics, "project_rows", FAULTY_PROJECTIONS[fault])
+            patch.setattr(reference, "project_rows", FAULTY_PROJECTIONS[fault])
+        batched, ref = monitor_lemma4(*args), reference.monitor_lemma4(*args)
+    # The closed form and the explicit worst probe round differently: allow
+    # 1e-15 of ||V||^2 <= 2 N K v_scale^2.
+    return batched, ref, 1e-15 * 2 * n * k * v_scale**2
 
 
 RUNS = {"lemma2": _run_lemma2, "lipschitz": _run_lipschitz, "lemma4": _run_lemma4}
@@ -157,8 +150,29 @@ RUNS = {"lemma2": _run_lemma2, "lipschitz": _run_lipschitz, "lemma4": _run_lemma
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(case=monitor_cases())
 def test_batched_report_matches_per_sample_loop(monitor, case):
-    batched, ref = RUNS[monitor](*case)
+    batched, ref, abs_tol = RUNS[monitor](*case)
     assert batched.name == ref.name
     assert batched.passed == ref.passed
     assert [v[0] for v in batched.violations] == [v[0] for v in ref.violations]
-    assert batched.worst_slack == pytest.approx(ref.worst_slack, rel=1e-12, abs=0.0)
+    assert batched.worst_slack == pytest.approx(ref.worst_slack, rel=1e-12, abs=abs_tol or 0.0)
+    fault, samples = case[-1], case[3]
+    if fault and monitor != "lemma2":
+        # Every check fails: the one Lipschitz check, or every lemma4 sample.
+        assert len(batched.violations) == (1 if monitor == "lipschitz" else samples)
+
+
+@pytest.mark.parametrize("radius", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("fault", sorted(FAULTY_PROJECTIONS))
+def test_paper_scale_projection_faults_fail_every_sample(monkeypatch, fault, radius):
+    args = (RowBall(radius), 5, 8, 500, 7, 4.0 * radius)
+    assert monitor_lemma4(*args).passed
+    monkeypatch.setattr(cmop.diagnostics, "project_rows", FAULTY_PROJECTIONS[fault])
+    assert [v[0] for v in monitor_lemma4(*args).violations] == list(range(500))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+def test_paper_scale_low_lipschitz_fails(scale):
+    h = scale * uniform_cmatrix(np.random.default_rng(7), 1.0, (10, 5))
+    lipschitz = precompute(ProblemInstance(h=h, a=np.zeros((10, 8)), eta=1.0)).lipschitz
+    assert monitor_lipschitz(h, lipschitz).passed
+    assert not monitor_lipschitz(h, lipschitz * (1.0 - 1e-6)).passed
