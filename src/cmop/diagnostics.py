@@ -25,7 +25,6 @@ import numpy as np
 from .cmat import (
     ComplexMatrix,
     RealVector,
-    adjoint_product,
     frob_norm,
     re_frob_inner,
     row_sq_norms,
@@ -271,10 +270,10 @@ def monitor_lemma2(
     return _build_report(MONITOR_LEMMA2, _sample_checks(len(pairs), block_checks))
 
 
-def monitor_lipschitz(h: ComplexMatrix, lipschitz: float) -> MonitorReport:
+def monitor_lipschitz(g: ComplexMatrix, lipschitz: float) -> MonitorReport:
     """Prove ||H d||^2 <= L (1 + delta) ||d||^2 for every d, i.e.
-    lambda_max(G) <= L (1 + delta) with G = H^H H formed as ``precompute``
-    forms it.
+    lambda_max(G) <= L (1 + delta), for the Gram matrix G = H^H H of
+    ``precompute`` (finite, as precompute checks).
 
     One ``np.linalg.cholesky`` of L (1 + delta) I - G succeeds only if that
     matrix is positive definite. delta = _LIPSCHITZ_SHIFT_ULPS N eps covers
@@ -284,15 +283,14 @@ def monitor_lipschitz(h: ComplexMatrix, lipschitz: float) -> MonitorReport:
     (0, L (1 + delta), top, 0.0): top equals the bound when the proof
     succeeds, so worst_slack is 0.0; when it fails, top is lambda_max(G)
     from ``eigvalsh``, raised to just above the bound should the two
-    disagree at rounding level. A non-finite L or G raises InputError.
+    disagree at rounding level. A non-finite L (1 + delta) raises
+    InputError.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        g = adjoint_product(h, h)
-        n = g.shape[0]
-        bound = lipschitz * (1.0 + _LIPSCHITZ_SHIFT_ULPS * n * np.finfo(float).eps)
-        shifted = bound * np.eye(n) - g
-    if not np.isfinite(shifted).all():  # a NaN factor would pass unnoticed
-        raise InputError(f"need a finite H^H H and L, got L = {lipschitz}")
+    n = g.shape[0]
+    bound = lipschitz * (1.0 + _LIPSCHITZ_SHIFT_ULPS * n * math.ulp(1.0))
+    if not math.isfinite(bound):  # a NaN factor would pass unnoticed
+        raise InputError(f"need a finite L, got L = {lipschitz}")
+    shifted = bound * np.eye(n) - g
     try:
         if shifted.any():
             np.linalg.cholesky(shifted)

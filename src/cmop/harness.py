@@ -563,7 +563,7 @@ def run_check(
                 )
             )
         elif tag == "lipschitz":
-            reports.append(diagnostics.monitor_lipschitz(instance.h, pre.lipschitz))
+            reports.append(diagnostics.monitor_lipschitz(pre.g, pre.lipschitz))
         else:  # kkt
             reports.append(diagnostics.kkt_check(pre, instance, w))
 

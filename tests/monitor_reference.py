@@ -43,11 +43,9 @@ def monitor_lemma2(pre, instance, pairs):
     return _build_report(MONITOR_LEMMA2, checks)
 
 
-def monitor_lipschitz(h, lipschitz):
-    """The Lipschitz certificate decided by the dense eigenvalues of
-    G = H^H H: the bound L (1 + delta) holds iff it is at least
-    lambda_max(G)."""
-    g = np.conj(h).T @ h
+def monitor_lipschitz(g, lipschitz):
+    """The Lipschitz certificate decided by the dense eigenvalues of G:
+    the bound L (1 + delta) holds iff it is at least lambda_max(G)."""
     bound = lipschitz * (1.0 + _LIPSCHITZ_SHIFT_ULPS * len(g) * np.finfo(float).eps)
     top = float(np.linalg.eigvalsh(g)[-1])
     return _build_report(MONITOR_LIPSCHITZ, [(0, bound, bound if top <= bound else top, 0.0)])

@@ -465,7 +465,7 @@ class TestCli:
         )
         lipschitz = cmop.diagnostics.monitor_lipschitz
         monkeypatch.setattr(
-            cmop.diagnostics, "monitor_lipschitz", lambda h, bound: lipschitz(h, 0.5 * bound)
+            cmop.diagnostics, "monitor_lipschitz", lambda g, bound: lipschitz(g, 0.5 * bound)
         )
         assert main(argv) == EXIT_CHECK_FAILED
         lines = (passing + capsys.readouterr().out).splitlines()

@@ -129,6 +129,12 @@ class TestPrecompute:
         )
         assert precompute(inst).lipschitz == 0.0
 
+    def test_overflowing_gram_rejected(self):
+        # 1e200^2 overflows G = H^H H, so no finite L can be certified.
+        inst = ProblemInstance(h=np.array([[1e200, 1.0]], dtype=complex), a=np.ones((1, 1)), eta=1.0)
+        with pytest.raises(InputError, match="overflows"):
+            precompute(inst)
+
     def test_random_direction_bound(self):
         inst = make_instance(2)
         pre = precompute(inst)

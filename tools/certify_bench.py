@@ -3,12 +3,12 @@
 Usage, from the root of a source checkout (it imports cmop from ``src``)::
 
     python3 tools/certify_bench.py --label after    # adds a run to ./BENCH_certify.json
-    python3 tools/certify_bench.py --small          # few calls: a smoke test
+    python3 tools/certify_bench.py --small          # two rounds: a smoke test
 
 At 16 x 8 x 8 and 16 x 10 x 8 (eta 0.01, the certify workload's shapes) it
 runs ``run_check`` with the pgd iterate and the monitors
 ``thm3,kkt,lemma2,lemma4,lipschitz``, as the certify workload does, on
-``SEEDS`` instances for ``--rounds`` rounds after one warm-up round. The
+``SEEDS`` instances for ``ROUNDS`` rounds after one warm-up round. The
 certifiers are wrapped for the run, and it reports the median milliseconds
 per call of each: ``lemma2``, ``lemma4``, ``lipschitz``, ``kkt`` and
 ``thm3`` (the two thm3 monitors), ``oracle`` (the active-set oracle that
@@ -46,6 +46,8 @@ from run import machine_record  # noqa: E402  (perfbench's record of the machine
 SHAPES = ((16, 8, 8), (16, 10, 8))
 ETA = 0.01
 SEEDS = range(4)
+ROUNDS = 50  # timed calls per instance; --small runs SMALL_ROUNDS
+SMALL_ROUNDS = 2
 MONITORS = ["thm3", "kkt", "lemma2", "lemma4", "lipschitz"]
 # timed name: (module, attribute)
 TIMED = {
@@ -118,11 +120,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=Path("BENCH_certify.json"))
     parser.add_argument("--label", default="current", help="key of this run in the output file")
-    parser.add_argument("--rounds", type=int, default=50, help="timed calls per instance")
     parser.add_argument("--small", action="store_true", help="two rounds (a smoke test)")
     args = parser.parse_args(argv)
 
-    rounds = 2 if args.small else args.rounds
+    rounds = SMALL_ROUNDS if args.small else ROUNDS
     run = {"machine": machine_record(), "monitors": ",".join(MONITORS), "shapes": {}}
     with tempfile.TemporaryDirectory() as work:
         for shape in SHAPES:
