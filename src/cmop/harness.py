@@ -14,6 +14,17 @@ independently and uniformly from [-range, range]. Floats are serialized
 with shortest round-trip precision (up to 17 significant digits), so a
 write/read cycle reproduces every number exactly.
 
+Instance and solution files hold exactly the bytes of
+``json.dumps(doc, indent=1) + "\\n"``: one member, array row or number per
+line, indented one space per level, with an LF after the closing brace.
+The writer encodes each matrix with json's compact C encoder and then
+widens its separators to that layout; a document of any other shape goes
+to ``json.dumps`` itself. A document with at least ``_SPLIT_NUMBERS``
+numbers in its matrices has every other matrix encoded by a forked child,
+pinned to a second CPU, when forking is safe (see :func:`_can_fork`); a
+child that fails leaves this process to encode everything, and the bytes
+never depend on the split.
+
 The reader walks the top-level object one member at a time and turns each
 array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``, ``w_im`` in
 solution files) into a float64 array as soon as it is parsed, so a read
@@ -27,10 +38,10 @@ endings and '.' decimal separator. Iteration timing is off by default, so
 re-running a command with identical inputs yields byte-identical outputs.
 
 Step-size sweeps on small instances run their steps in forked worker
-processes, each pinned to one CPU in ascending CPU order, when two or more
-CPUs are usable and the platform has fork and CPU affinity calls; see
-:func:`run_sweep`. The outputs are byte-identical to a run in one process,
-and nothing selects between the two.
+processes, each pinned to one CPU in ascending CPU order, when forking is
+safe by the same rule; see :func:`run_sweep`. The outputs are
+byte-identical to a run in one process, and nothing selects between the
+two.
 """
 
 from __future__ import annotations
@@ -276,7 +287,9 @@ def instance_from_document(doc: dict) -> ProblemInstance:
 
 
 def write_instance(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="ascii")
+    """Write an instance document as ASCII JSON: the bytes of
+    ``json.dumps(doc, indent=1) + "\\n"``, encoded by :func:`_dumps`."""
+    Path(path).write_text(_dumps(doc) + "\n", encoding="ascii")
 
 
 def read_instance(path) -> tuple[ProblemInstance, dict]:
@@ -292,7 +305,10 @@ def read_instance(path) -> tuple[ProblemInstance, dict]:
 
 
 def write_solution(w, path) -> None:
-    """Write a solution matrix as JSON with split re/im arrays."""
+    """Write a solution matrix as JSON with split re/im arrays: the bytes of
+    ``json.dumps(doc, indent=1) + "\\n"`` for the document
+    ``{"n": N, "k": K, "w_re": [[...]], "w_im": [[...]]}``, encoded by
+    :func:`_dumps`."""
     w = np.asarray(w)
     doc = {
         "n": w.shape[0],
@@ -300,7 +316,104 @@ def write_solution(w, path) -> None:
         "w_re": w.real.tolist(),
         "w_im": w.imag.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="ascii")
+    Path(path).write_text(_dumps(doc) + "\n", encoding="ascii")
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))  # served by json's C encoder
+_SCALAR_TYPES = (str, int, float, bool, type(None))
+_NUMBER_TYPES = {int, float}
+
+
+def _is_matrix(value) -> bool:
+    """Whether ``value`` is a non-empty list of non-empty lists of ints and
+    floats (exact types, so no repr can differ between json's encoders)."""
+    if type(value) is not list or not value:
+        return False
+    types = set()
+    for row in value:
+        if type(row) is not list or not row:
+            return False
+        types.update(map(type, row))
+    return types <= _NUMBER_TYPES
+
+
+def _matrix_text(matrix: list) -> str:
+    """A matrix as ``json.dumps(..., indent=1)`` lays it out as a member of
+    a top-level object: the compact C encoding with every item break and
+    then every row break widened. Numbers hold no ',' or ']'."""
+    text = _COMPACT.encode(matrix)[2:-2]
+    text = text.replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
+    return "[\n  [\n   " + text + "\n  ]\n ]"
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=1)``, byte for byte, at the speed of json's C
+    encoder for the documents cmop writes: an object with str keys whose
+    values are scalars or matrices (see :func:`_is_matrix`). Anything else
+    goes to ``json.dumps``, which also raises what it raises on a value it
+    cannot encode. The matrices are encoded by :func:`_matrix_texts`."""
+    if type(doc) is not dict or not doc:
+        return json.dumps(doc, indent=1)
+    texts, matrices = [], []  # matrices: positions in texts
+    for key, value in doc.items():
+        if type(key) is not str:
+            return json.dumps(doc, indent=1)
+        if type(value) in _SCALAR_TYPES:
+            texts.append(json.dumps(value))
+        elif _is_matrix(value):
+            matrices.append(len(texts))
+            texts.append(value)
+        else:
+            return json.dumps(doc, indent=1)
+    for i, text in zip(matrices, _matrix_texts([texts[i] for i in matrices])):
+        texts[i] = text
+    members = ",\n".join(f" {json.dumps(key)}: {text}" for key, text in zip(doc, texts))
+    return "{\n" + members + "\n}"
+
+
+# The matrices of a document with at least this many numbers in all are
+# encoded on two CPUs (see _matrix_texts). Fork, pinning, the pipe and the
+# reaping cost 10-15 ms; the C encoder takes 1.2-1.4 us per number on a
+# shared 2-vCPU x86-64 VM. Two N x 256 solution matrices there, 41
+# interleaved calls per size, split against serial by median: 2.07x as long
+# at 5,120 numbers, 0.98-1.18x at 20,480-51,200 and 0.80-0.88x from 76,800
+# on; a 1000 x 200 x 256 instance (912,000 numbers) took 0.78x.
+_SPLIT_NUMBERS = 2**16
+
+
+def _matrix_texts(matrices: list[list]) -> list[str]:
+    """:func:`_matrix_text` of every matrix. With at least
+    ``_SPLIT_NUMBERS`` numbers in all, two or more matrices and
+    :func:`_can_fork`, a forked child encodes every other matrix while this
+    process encodes the rest; if that fails in any way, this process
+    encodes them all, so the text never depends on the split."""
+    if (
+        len(matrices) > 1
+        and sum(len(row) for matrix in matrices for row in matrix) >= _SPLIT_NUMBERS
+        and _can_fork()
+    ):
+        groups = [list(range(0, len(matrices), 2)), list(range(1, len(matrices), 2))]
+
+        def valid(texts, group) -> bool:
+            return (
+                isinstance(texts, list)
+                and len(texts) == len(group)
+                and all(isinstance(text, str) for text in texts)
+            )
+
+        try:
+            results = _run_groups(
+                groups, lambda group: [_matrix_text(matrices[i]) for i in group], valid
+            )
+        except Exception:  # a failed split only costs time: encode serially below
+            pass
+        else:
+            texts = [""] * len(matrices)
+            for group, result in zip(groups, results):
+                for i, text in zip(group, result):
+                    texts[i] = text
+            return texts
+    return [_matrix_text(matrix) for matrix in matrices]
 
 
 def read_solution(path):
@@ -556,10 +669,12 @@ def run_check(
             pairs = uniform_cmatrix(rng, 2.0 * ball.radius, (100, 2, instance.n, instance.k))
             reports.append(diagnostics.monitor_lemma2(pre, instance, pairs))
         elif tag == "lemma4":
+            # Entries uniform over [-s, s] in both parts give E||V_n||^2 =
+            # 2 K s^2 / 3 = r^2: rows fall on both sides of the boundary.
             reports.append(
                 diagnostics.monitor_lemma4(
                     ball, instance.n, instance.k, 500, seed,
-                    v_scale=float(np.abs(instance.h).max()),
+                    v_scale=ball.radius * float(np.sqrt(1.5 / instance.k)),
                 )
             )
         elif tag == "lipschitz":
@@ -649,13 +764,23 @@ def run_sweep(
             _sweep_step(instance, pre, method, *steps[i], radius_is_eta, out, rows[i])
         return [rows[i] for i in indices]
 
+    def valid(group_rows, indices) -> bool:
+        return (
+            isinstance(group_rows, list)
+            and all(isinstance(row, dict) and list(row) == list(SWEEP_COLUMNS)
+                    for row in group_rows)
+            and [row["index"] for row in group_rows] == indices
+        )
+
     indices = list(steps)
     split = _lpt_groups(
         [_step_cost(pre, steps[i][1]) for i in indices],
         _sweep_workers(instance, method, len(indices)),
     )
-    for row in _run_groups([[indices[j] for j in group] for group in split], run_group):
-        rows[row["index"]] = row
+    groups = [[indices[j] for j in group] for group in split]
+    for group_rows in _run_groups(groups, run_group, valid):
+        for row in group_rows:
+            rows[row["index"]] = row
 
     lines = [",".join(SWEEP_COLUMNS)]
     lines += [",".join(str(row[col]) for col in SWEEP_COLUMNS) for row in rows]
@@ -719,21 +844,26 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _can_fork() -> bool:
+    """Whether work may be split over forked children pinned to CPUs, as
+    :func:`_run_groups` runs them: fork and the CPU affinity calls exist,
+    no other Python thread is alive (a child would inherit its locks in
+    whatever state they are in) and at least two CPUs are usable."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_setaffinity")
+        and threading.active_count() == 1
+        and _usable_cpus() >= 2
+    )
+
+
 def _sweep_workers(instance: ProblemInstance, method: str, steps: int) -> int:
     """Processes a sweep of ``steps`` resolved steps runs in: one (this
-    process) when fork or CPU affinity is missing, when fork is unsafe
-    because another Python thread is alive, when a solve would start BLAS
-    threads, or when there is only one CPU or step; else one per CPU, at
-    most one per step. Workers were measured only pinned to CPUs, as
-    :func:`_run_groups` pins them, so they need the affinity calls."""
+    process) unless :func:`_can_fork`, or when a solve would start BLAS
+    threads, or when there is only one step; else one per CPU, at most one
+    per step."""
     macs, dot = _blas_sizes(method, instance.m, instance.n, instance.k)
-    if (
-        not hasattr(os, "fork")
-        or not hasattr(os, "sched_setaffinity")
-        or threading.active_count() > 1
-        or macs >= _SERIAL_BLAS_MACS
-        or dot > _SERIAL_BLAS_DOT
-    ):
+    if not _can_fork() or macs >= _SERIAL_BLAS_MACS or dot > _SERIAL_BLAS_DOT:
         return 1
     return max(1, min(_usable_cpus(), steps))
 
@@ -771,11 +901,12 @@ def _lpt_groups(costs: list[float], workers: int) -> list[list[int]]:
     return [sorted(group) for group in groups]
 
 
-def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
-    """The rows ``run_group(group)`` returns for every group: the first
-    group runs in this process, each other one in a forked child. On any
-    error the children still running are killed, and every child is
-    reaped with its pipe closed.
+def _run_groups(groups: list[list[int]], run_group, valid) -> list:
+    """``run_group(group)`` for every group, in group order: the first
+    group runs in this process, each other one in a forked child, whose
+    result must pass ``valid(result, group)``. On any error the children
+    still running are killed, and every child is reaped with its pipe
+    closed.
 
     With more than one group, group g runs alone on the g-th usable CPU in
     ascending order (modulo their number), this process only until its
@@ -785,7 +916,7 @@ def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
     """
     cpus = sorted(os.sched_getaffinity(0)) if len(groups) > 1 else []
 
-    def work(g: int) -> list[dict]:
+    def work(g: int):
         if cpus:
             os.sched_setaffinity(0, {cpus[g % len(cpus)]})
         return run_group(groups[g])
@@ -796,13 +927,13 @@ def _run_groups(groups: list[list[int]], run_group) -> list[dict]:
             pid, fd = _fork(lambda g=g: work(g), [c[1] for c in children])
             children.append((pid, fd, groups[g]))
         try:
-            rows = work(0)
+            results = [work(0)]
         finally:
             if cpus:
                 os.sched_setaffinity(0, cpus)
         while children:
-            rows += _collect(*children.pop(0))
-        return rows
+            results.append(_collect(*children.pop(0), valid))
+        return results
     finally:
         for pid, fd, _ in children:
             os.close(fd)
@@ -848,17 +979,17 @@ def _fork(work, inherited: list[int]) -> tuple[int, int]:
     return pid, read_fd
 
 
-def _collect(pid: int, fd: int, group: list[int]) -> list[dict]:
-    """Read a child's rows to the end of its pipe, reap it and check that
-    it exited 0 and sent one well-formed row per row index in ``group``.
-    An exception the child sent is raised here, caused by a WorkerError
-    that names the child."""
+def _collect(pid: int, fd: int, group: list[int], valid) -> list:
+    """Read a child's result to the end of its pipe, reap it and check that
+    it exited 0 and sent a JSON result that passes ``valid(result,
+    group)``. An exception the child sent is raised here, caused by a
+    WorkerError that names the child."""
     try:
         with os.fdopen(fd, "rb") as pipe:
             data = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
-    where = f"sweep worker process {pid}"
+    where = f"worker process {pid}"
     code = os.waitstatus_to_exitcode(status)
     if code == 1:
         try:
@@ -871,13 +1002,9 @@ def _collect(pid: int, fd: int, group: list[int]) -> list[dict]:
         detail = data.decode("ascii", "replace")[-300:]
         raise WorkerError(f"{where} exited with status {code}" + (f": {detail}" if detail else ""))
     try:
-        rows = json.loads(data)
+        result = json.loads(data)
     except ValueError:
-        rows = None
-    if not (
-        isinstance(rows, list)
-        and all(isinstance(row, dict) and list(row) == list(SWEEP_COLUMNS) for row in rows)
-        and [row["index"] for row in rows] == group
-    ):
+        result = None
+    if not valid(result, group):
         raise WorkerError(f"{where} sent an invalid result ({len(data)} bytes)")
-    return rows
+    return result

@@ -449,6 +449,25 @@ class TestCli:
         capsys.readouterr()
         assert code == EXIT_CHECK_FAILED
 
+    def test_lemma4_draws_on_the_balls_scale(self, tmp_path, capsys, monkeypatch):
+        # With range 0.01, entries on the scale of H all lie far inside the
+        # ball of radius sqrt(2), where no projection is ever tested.
+        import cmop.diagnostics
+        from cmop.projection import RowBall
+
+        inst = tmp_path / "small-h.json"
+        assert main(["gen", "--seed", "0", "--range", "0.01", "-o", str(inst)]) == EXIT_OK
+        argv = ["check", str(inst), "--w-source", "pgd", "--monitors", "lemma4"]
+        assert main(argv) == EXIT_OK
+        monkeypatch.setattr(  # a ball 0.1% too small
+            cmop.diagnostics, "project_rows",
+            lambda w, ball: project_rows(w, RowBall(0.999 * ball.radius)),
+        )
+        assert main(argv) == EXIT_CHECK_FAILED
+        summary = next(line for line in capsys.readouterr().out.splitlines()
+                       if line.startswith("monitor lemma4-vi FAILED"))
+        assert int(summary.split()[3].removeprefix("violations=")) > 400  # of 500 draws
+
     def test_certify_report_fields_parse_as_floats(self, tmp_path, capsys, monkeypatch):
         import cmop.diagnostics
 

@@ -24,22 +24,6 @@ def instance_path(tmp_path):
     return path
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """pids of the children this process forks."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
 def _sweep(path, out, method, specs, capsys, **options):
     run_sweep(path, method, specs, tau=1e-14, out_dir=out, **options)
     files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
@@ -105,9 +89,9 @@ def test_step_cost_follows_the_gd_rate(tmp_path, monkeypatch, forks):
     split = []
     run_groups = harness._run_groups
 
-    def recording(groups, run_group):
+    def recording(groups, run_group, valid):
         split.append(groups)
-        return run_groups(groups, run_group)
+        return run_groups(groups, run_group, valid)
 
     monkeypatch.setattr(harness, "_run_groups", recording)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
@@ -131,7 +115,7 @@ def _break_workers(monkeypatch, how):
     run_groups = harness._run_groups
     parent = os.getpid()
 
-    def broken(groups, run_group):
+    def broken(groups, run_group, valid):
         def group_rows(group):
             if how == "write_trace" and os.getpid() != parent:
                 harness.write_trace = _deny  # in this child's memory only
@@ -146,7 +130,7 @@ def _break_workers(monkeypatch, how):
                 return [dict(row, index=row["index"] + 1) for row in rows]
             return [object()]  # not JSON-serializable: the child raises
 
-        return run_groups(groups, group_rows)
+        return run_groups(groups, group_rows, valid)
 
     monkeypatch.setattr(harness, "_run_groups", broken)
 
@@ -226,10 +210,10 @@ def test_this_process_runs_its_group_on_the_lowest_cpu(tmp_path, instance_path, 
             pinned.append(os.sched_getaffinity(0))
         return sweep_step(*args)
 
-    def from_the_highest_cpu(groups, run_group):
+    def from_the_highest_cpu(groups, run_group, valid):
         os.sched_setaffinity(0, {max(cpus)})  # moves this process there
         os.sched_setaffinity(0, cpus)
-        return run_groups(groups, run_group)
+        return run_groups(groups, run_group, valid)
 
     monkeypatch.setattr(harness, "_sweep_step", recording)
     monkeypatch.setattr(harness, "_run_groups", from_the_highest_cpu)

@@ -33,6 +33,11 @@ INSTANCES = tuple((f"p{seed}", ["--seed", str(seed)]) for seed in range(5)) + (
     ("c0", ["--seed", "0", "--m", "16", "--n", "8", "--k", "8", "--eta", "0.01"]),
     ("r0", ["--seed", "0", "--m", "4", "--n", "6", "--eta", "0.01"]),
 )
+# An instance and a solution just above the 2^16 numbers from which the
+# writer encodes a document's matrices on two CPUs (harness._SPLIT_NUMBERS):
+# 2 x 160 x (128 + 257) and 2 x 128 x 257 numbers. The digest pins the bytes
+# of that path with two commands, not the whole matrix.
+SPLIT_INSTANCE = ("s0", ["--seed", "0", "--m", "160", "--n", "128", "--k", "257"])
 SWEEP_ALPHAS = "f0.3,f0.9,fbad"
 # More steps than CPUs, out of cost order, with an error row and a step that
 # diverges under gd: the split of a sweep over worker processes must not
@@ -99,6 +104,14 @@ def _commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
     return cmds
 
 
+def _split_commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
+    inst = f"{tag}.cmop.json"
+    return [
+        ("gen", ["gen", *gen_args, "-o", inst]),
+        ("solve-closed", ["solve", inst, "--method", "closed", "-o", f"{tag}/closed.json"]),
+    ]
+
+
 def _run(name: str, argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -112,9 +125,11 @@ def main_digest() -> None:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
-            for tag, gen_args in INSTANCES:
+            cases = [(tag, _commands(tag, gen_args)) for tag, gen_args in INSTANCES]
+            cases.append((SPLIT_INSTANCE[0], _split_commands(*SPLIT_INSTANCE)))
+            for tag, commands in cases:
                 Path(tag).mkdir()
-                for name, argv in _commands(tag, gen_args):
+                for name, argv in commands:
                     digest = hashlib.sha256(_run(name, argv)).hexdigest()
                     lines.append(f"{digest}  {tag}/{name}.console")
             for path in sorted(Path(".").rglob("*")):

@@ -7,8 +7,10 @@ Usage, from the root of a source checkout (it imports cmop from ``src``)::
 
 For each size it generates one instance and one random N x K solution,
 then times ``write_instance``, ``read_instance``, ``write_solution`` and
-``read_solution`` on files in a temporary directory. A figure is the median
-over ``rounds`` calls. Two regimes:
+``read_solution`` on files in a temporary directory. Each round calls the
+four in turn, so a slow spell of the machine lands on every function
+rather than on the calls of one. A figure is the median over ``rounds``
+rounds. Two regimes:
 
 * ``paper`` (10 x 5 x 8): a file of a few kB, where per-call overhead rules.
 * ``large`` (1000 x 200 x 256): a 20.8 MB instance, where the parse rules.
@@ -53,7 +55,7 @@ from cmop import (  # noqa: E402
 from run import child_env, machine_record  # noqa: E402  (perfbench's helpers)
 
 # name: (M, N, K, rounds)
-SIZES = {"paper": (10, 5, 8, 51), "large": (1000, 200, 256, 3)}
+SIZES = {"paper": (10, 5, 8, 51), "large": (1000, 200, 256, 7)}
 SMALL_SIZES = {"paper": (10, 5, 8, 1), "large": (40, 20, 16, 1)}
 
 # Run in a child: import cmop, then report the peak RSS rise (kB) of one read.
@@ -72,13 +74,16 @@ print(peak_kb() - before)
 """
 
 
-def _median_s(call, rounds: int) -> float:
-    times = []
+def _median_s(calls: dict, rounds: int) -> dict:
+    """The median seconds of each call over ``rounds`` rounds, each of which
+    makes every call once, in order."""
+    times = {name: [] for name in calls}
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+        for name, call in calls.items():
+            t0 = time.perf_counter()
+            call()
+            times[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(ts) for name, ts in times.items()}
 
 
 def _rss_rise_mb(reader: str, path: Path) -> float:
@@ -93,12 +98,12 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
     rng = np.random.default_rng(1)
     w = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
     inst, sol = tmp / f"inst-{m}x{n}x{k}.json", tmp / f"sol-{m}x{n}x{k}.json"
-    seconds = {
-        "write_instance": _median_s(lambda: write_instance(doc, inst), rounds),
-        "read_instance": _median_s(lambda: read_instance(inst), rounds),
-        "write_solution": _median_s(lambda: write_solution(w, sol), rounds),
-        "read_solution": _median_s(lambda: read_solution(sol), rounds),
-    }
+    seconds = _median_s({
+        "write_instance": lambda: write_instance(doc, inst),
+        "read_instance": lambda: read_instance(inst),
+        "write_solution": lambda: write_solution(w, sol),
+        "read_solution": lambda: read_solution(sol),
+    }, rounds)
     return {
         "m": m, "n": n, "k": k, "rounds": rounds,
         "instance_bytes": inst.stat().st_size,
