@@ -66,6 +66,11 @@ STOP_KKT = "kkt-certified"
 
 # Objective blow-up factor beyond which a run is declared divergent.
 _DIVERGENCE_FACTOR = 1e6
+# A run that stops on a decrease below -max(tau, this F(W^0)) is declared
+# divergent: its objective rose. The projection's rounding leaves converged
+# runs at decreases of either sign near 1e-17 F(W^0): -2.6e-14 with
+# F(W^0) = 4054 on a 16 x 8 x 8 instance at tau = 1e-14.
+_RISE_FLOOR = 1e-12
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,6 +199,7 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         raise InputError("objective is non-finite at the initial iterate")
     f_limit = _DIVERGENCE_FACTOR * f
     tau = config.tau
+    rise = -max(tau, _RISE_FLOOR * f)
     timed = config.time_iterations
     record_trace = config.record_trace
     trace: list[IterationRecord] = []
@@ -235,7 +241,7 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
             stop_reason = STOP_DIVERGED
             break
         if decrease < tau:
-            stop_reason = STOP_DECREASE
+            stop_reason = STOP_DIVERGED if decrease < rise else STOP_DECREASE
             break
 
     return SolveResult(
@@ -273,7 +279,8 @@ def gd_solve(
 
     Converges to the unconstrained optimum for alpha in (0, 2/L). Stops when
     the objective decrease falls below tau, at max_iter, or on divergence
-    (objective above 1e6 times its initial value, or non-finite).
+    (objective above 1e6 times its initial value, or non-finite, or a rise
+    of more than max(tau, 1e-12 F(W^0)) in one step).
     """
     return _complex_loop(pre, instance, w0, config, ball=None, mode="gd")
 

@@ -20,6 +20,7 @@ from cmop.errors import DimensionError, InputError
 from cmop.projection import _BOUNDARY_BAND
 from cmop.solvers import (
     _DIVERGENCE_FACTOR,
+    _RISE_FLOOR,
     STOP_DECREASE,
     STOP_DIVERGED,
     STOP_MAX_ITER,
@@ -125,7 +126,8 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
             stop_reason = STOP_DIVERGED
             break
         if decrease < config.tau:
-            stop_reason = STOP_DECREASE
+            rose = decrease < -max(config.tau, _RISE_FLOOR * f_start)
+            stop_reason = STOP_DIVERGED if rose else STOP_DECREASE
             break
 
     return SolveResult(

@@ -435,6 +435,17 @@ class TestCli:
         capsys.readouterr()
         assert code == EXIT_DIVERGED
 
+    def test_rising_solve_exits_as_diverged(self, tmp_path, capsys):
+        # 2/L is 0.0015 on seed 0: the first step raises the objective from
+        # 2852.9 to 2888.6, far below the 1e6x divergence marker.
+        inst = tmp_path / "i.json"
+        main(["gen", "--seed", "0", "-o", str(inst)])
+        capsys.readouterr()
+        code = main(["solve", str(inst), "--method", "gd", "--alpha", "0.002"])
+        out = capsys.readouterr().out
+        assert code == EXIT_DIVERGED
+        assert "iterations=1 stop=diverged" in out
+
     def test_failing_check_exit_code(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         main(["gen", "--seed", "2", "-o", str(inst)])

@@ -1,9 +1,13 @@
 """The JSON reader behind ``read_instance`` and ``read_solution``: it walks
 the top-level object one member at a time and converts the named array
 fields as it goes, yet returns what ``json.loads`` returns (those fields
-converted as ``_float_array`` converts them) and raises the same errors.
-Also bounds the memory a read takes and smoke-tests ``tools/io_bench.py``."""
+converted as ``_float_array`` converts them) and raises the same errors,
+on the serial path and on the two-CPU split alike; a document the split
+cannot take, or a failed split, falls back to the same result and leaves
+no process behind. Also bounds the memory a read takes and smoke-tests
+``tools/io_bench.py``."""
 
+import contextlib
 import itertools
 import json
 import os
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cmop.harness as harness
 from cmop import gen_instance, read_instance, write_instance
 from cmop.errors import InputError
 from cmop.harness import _read_json_object
@@ -177,6 +182,15 @@ def expected_document(path: Path, kind: str) -> dict:
     return {k: as_float_array(v) if k in NAMED[kind] else v for k, v in loads(path).items()}
 
 
+@contextlib.contextmanager
+def split_forced():
+    """Every read within takes the two-CPU path where its document allows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_SPLIT_CHARS", 0)
+        patch.setattr(harness, "_usable_cpus", lambda: 2)
+        yield
+
+
 def write(tmp_dir: Path, text: str) -> Path:
     path = tmp_dir / "doc.json"
     path.write_text(text, encoding="ascii")
@@ -193,16 +207,22 @@ def tmp_dir(tmp_path_factory):
 def test_reader_equals_json_loads(tmp_dir, doc):
     kind, text, _ = doc
     path = write(tmp_dir, text)
-    assert canonical(_read_json_object(path, kind)) == canonical(expected_document(path, kind))
+    expected = canonical(expected_document(path, kind))
+    assert canonical(_read_json_object(path, kind)) == expected
+    with split_forced():
+        assert canonical(_read_json_object(path, kind)) == expected
 
 
 def _assert_same_error(tmp_dir, text, kind):
+    """The serial path and the forced split both raise what json.loads
+    raises, as an InputError."""
     path = write(tmp_dir, text)
     with pytest.raises(ValueError) as reference:
         loads(path)
-    with pytest.raises(InputError) as info:
-        _read_json_object(path, kind)
-    assert str(info.value) == f"{kind} file {path} is not valid JSON: {reference.value}"
+    for forced in (contextlib.nullcontext, split_forced):
+        with forced(), pytest.raises(InputError) as info:
+            _read_json_object(path, kind)
+        assert str(info.value) == f"{kind} file {path} is not valid JSON: {reference.value}"
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -252,12 +272,7 @@ def test_named_fields_come_back_as_arrays(tmp_path):
     }
 
 
-def test_read_peak_memory_stays_near_the_file_size(tmp_path):
-    """Parsing all of a document into lists before converting peaked at
-    about 2.45x the file size; converting each field as it is parsed leaves
-    the file's bytes and text as the peak, about 2x."""
-    path = tmp_path / "inst.json"
-    write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
+def _assert_read_peak_near_the_file_size(path: Path):
     size = path.stat().st_size
     tracemalloc.start()
     try:
@@ -267,6 +282,151 @@ def test_read_peak_memory_stays_near_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * size, f"peak {peak / size:.2f}x the file size"
+
+
+def test_read_peak_memory_stays_near_the_file_size(tmp_path, monkeypatch):
+    """Parsing all of a document into lists before converting peaked at
+    about 2.45x the file size; converting each field as it is parsed leaves
+    the file's bytes and text as the peak, about 2x. Serial path."""
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
+    monkeypatch.setattr(harness, "_SPLIT_CHARS", path.stat().st_size + 1)
+    _assert_read_peak_near_the_file_size(path)
+
+
+def test_split_read_peak_memory_stays_near_the_file_size(tmp_path, forks):
+    """The same bound for this process on the two-CPU path, where the
+    child's matrices land in a shared buffer that the trace does not see."""
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
+    forks.clear()  # the writer's
+    with split_forced():
+        _assert_read_peak_near_the_file_size(path)
+    assert len(forks) == 1
+
+
+# -- the two-CPU split -------------------------------------------------------
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_split_adopts_the_childs_arrays_without_a_copy(tmp_path, forks):
+    path = tmp_path / "inst.json"
+    doc = gen_instance(m=6, n=3, k=4, seed=5)
+    write_instance(doc, path)
+    with split_forced():
+        _, loaded = read_instance(path)
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    assert canonical(loaded) == canonical(expected_document(path, "instance"))
+    for field in NAMED["instance"]:
+        assert loaded[field].dtype == np.float64 and loaded[field].flags.writeable
+    # Every other matrix was parsed by the child into the shared buffer.
+    assert [loaded[f].flags.owndata for f in NAMED["instance"]] == [True, False, True, False]
+    loaded["h_im"][0, 0] = 1.5  # the view is writable in place
+    assert loaded["h_im"][0, 0] == 1.5
+
+
+def test_small_file_or_unsafe_to_fork_stays_serial(tmp_path, monkeypatch, forks):
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=6, n=3, k=4, seed=5), path)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "_SPLIT_CHARS", path.stat().st_size + 1)
+    read_instance(path)
+    monkeypatch.setattr(harness, "_SPLIT_CHARS", 0)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    read_instance(path)
+    assert forks == []
+
+
+# Documents with two or more matrix-named members that the split must hand
+# back to the serial walk, or whose split result must equal it.
+HANDED_BACK = {
+    "3-d": '{"h_re": [[[1.0]], [[2.0]]], "h_im": [[1.0]]}',
+    "3-d-last": '{"h_re": [[1.0]], "h_im": [[[1.0], [2.0]]]}',
+    "ragged": '{"h_re": [[1.0], [2.0, 3.0]], "h_im": [[1.0]]}',
+    "ragged-in-the-child": '{"h_re": [[1.0]], "h_im": [[1.0, 2.0], [3.0]]}',
+    "empty-rows": '{"h_re": [[], []], "h_im": [[]], "a_re": [[1.0]]}',
+    "empty-and-full-rows": '{"h_re": [[1.0], []], "h_im": [[1.0]]}',
+    "empty-matrix": '{"h_re": [], "h_im": [[1.0]]}',
+    "flat": '{"h_re": [1.0, 2.0], "h_im": [[1.0]], "a_re": [[2.0]]}',
+    "string-with-brackets": '{"h_re": [["]]", 1.0]], "h_im": [["] ]"]], "a_re": [[1.0]]}',
+    "numeric-strings": '{"h_re": [["1.5", "2"]], "h_im": [["-0"]]}',
+    "object-row": '{"h_re": [{"a": [[1]]}], "h_im": [[1.0]]}',
+    "object-in-a-row": '{"h_re": [[1.0, {"a": 1}]], "h_im": [[1.0]]}',
+    "duplicate-key": '{"h_re": [[1.0]], "h_im": [[2.0]], "h_re": [[3.0]]}',
+    "duplicate-scalar": '{"h_re": [[1.0]], "h_im": [[2.0]], "h_im": 5}',
+    "scalar-field": '{"h_re": 5, "h_im": [[2.0]], "a_re": "1e3", "a_im": [[1.0]]}',
+    "members-after": '{"h_re": [[1.0]], "h_im": [[2.0]], "m": 1, "x": [[3]], "a_re": [[4.0]]}',
+    "other-kind": '{"w_re": [[1.0]], "w_im": [[2.0]], "h_re": [[3.0]], "h_im": [[4.0]]}',
+}
+
+
+@pytest.mark.parametrize("text", HANDED_BACK.values(), ids=HANDED_BACK)
+def test_split_hands_back_or_matches_the_serial_walk(tmp_path, forks, text):
+    path = write(tmp_path, text)
+    with split_forced():
+        loaded = _read_json_object(path, "instance")
+    assert canonical(loaded) == canonical(expected_document(path, "instance"))
+    assert len(forks) <= 1
+    _assert_reaped(forks)
+
+
+def test_error_inside_a_matrix_fails_as_json_loads_does(tmp_path):
+    """The pre-scan does not parse the matrices: an error inside one is
+    found by whichever process parses it, then by the serial walk."""
+    for bad in ('[[1.0, 2x]]', '[[1.0, 1e]]', '[[1.0,, 2.0]]', '[[1.0] [2.0]]'):
+        _assert_same_error(tmp_path, '{"h_re": [[1.0]], "h_im": %s, "a_re": [[1]]}' % bad,
+                           "instance")
+        _assert_same_error(tmp_path, '{"h_re": %s, "h_im": [[1.0]], "a_re": [[1]]}' % bad,
+                           "instance")
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize(
+    "how", ["raise", "exit", "flat-shape", "oversized", "wrong-end", "wrong-end-here"]
+)
+def test_failed_child_falls_back_to_the_serial_result(tmp_path, monkeypatch, forks, how):
+    parent = os.getpid()
+    parsed_array = harness._parsed_array
+    calls = []
+
+    def failing(text, pos):
+        array, end = parsed_array(text, pos)
+        calls.append(pos)
+        if how == "wrong-end-here":  # in this process: its own ends are checked too
+            return array, end - (os.getpid() == parent)
+        if os.getpid() != parent:
+            if how == "raise":
+                raise ValueError("parse failed")
+            if how == "exit":
+                os._exit(1)
+            if how == "flat-shape":
+                return array.ravel(), end
+            if how == "oversized":  # one number more than h_im's room, within a_im's
+                return (np.zeros((1, (end - pos) // 2 + 1)) if len(calls) == 1 else array), end
+            return array, end - 1
+        return array, end
+
+    monkeypatch.setattr(harness, "_parsed_array", failing)
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=6, n=3, k=4, seed=5), path)
+    fds = _open_fds()
+    affinity = os.sched_getaffinity(0)
+    with split_forced():
+        got = _read_json_object(path, "instance")
+    assert canonical(got) == canonical(expected_document(path, "instance"))
+    assert got["h_im"].flags.owndata  # walked serially, not adopted from the child
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    assert _open_fds() == fds
+    assert os.sched_getaffinity(0) == affinity
 
 
 def test_io_bench_small_run(tmp_path):
@@ -288,3 +448,5 @@ def test_io_bench_small_run(tmp_path):
         assert all(s > 0 for s in size["seconds"].values())
         assert set(size["rss_rise_mb"]) == {"read_instance", "read_solution"}
         assert size["instance_bytes"] > 0 and size["solution_bytes"] > 0
+    for ratio in run["read_split"]["numbers"].values():
+        assert ratio["split_s"] > 0 and ratio["serial_s"] > 0 and ratio["ratio"] > 0

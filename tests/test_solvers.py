@@ -16,6 +16,8 @@ from cmop import (
     evaluate,
     frob_norm,
     gd_solve,
+    gen_instance,
+    instance_from_document,
     is_feasible,
     per_iteration_flops,
     pgd_solve,
@@ -144,16 +146,18 @@ class TestGdSolve:
         assert not res.converged
 
     def test_mild_overshoot_exits_via_error_rule(self):
-        # The literal error rule exits on the first objective increase
-        # (negative decrease), so a merely-too-large step ends the loop
-        # without tripping the 1e6x divergence marker.
+        # The error rule exits on the first objective increase (a decrease
+        # below -tau) well before the 1e6x divergence marker, and a rise is
+        # no convergence.
         inst = make_instance(2)
         pre = precompute(inst)
         cfg = SolverConfig(alpha=3.0 / pre.lipschitz, tau=1e-14, max_iter=1000)
         with pytest.warns(RuntimeWarning):
             res = gd_solve(pre, inst, zero_w(inst), cfg)
-        assert res.stop_reason == STOP_DECREASE
-        assert res.trace[-1].decrease < 0.0
+        assert res.stop_reason == STOP_DIVERGED
+        assert res.converged is False
+        assert res.trace[-1].decrease < -cfg.tau
+        assert res.trace[0].objective < res.objective < 1e6 * res.trace[0].objective
 
     def test_nonfinite_w0_rejected(self):
         inst = make_instance(0)
@@ -180,6 +184,17 @@ class TestGdSolve:
 
 
 class TestPgdSolve:
+    @pytest.mark.parametrize("solve", [pgd_solve, real_augmented_pgd])
+    def test_rounding_noise_at_convergence_is_no_rise(self, solve):
+        # Both end on a decrease of about -2.5e-14, below -tau but at the
+        # rounding level of F(W^0) = 4054.
+        inst = instance_from_document(gen_instance(m=16, n=8, k=8, eta=0.01, seed=0))
+        pre = precompute(inst)
+        ball = RowBall.for_power_budget(inst.eta)
+        res = solve(pre, inst, zero_w(inst), ball, SolverConfig(alpha="f0.9", tau=1e-14))
+        assert res.trace[-1].decrease < -1e-14
+        assert res.converged and res.stop_reason == STOP_DECREASE
+
     def test_separable_identity_case(self):
         rng = np.random.default_rng(50)
         a = rng.uniform(-3, 3, (4, 5)) + 1j * rng.uniform(-3, 3, (4, 5))

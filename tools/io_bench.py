@@ -15,6 +15,13 @@ rounds. Two regimes:
 * ``paper`` (10 x 5 x 8): a file of a few kB, where per-call overhead rules.
 * ``large`` (1000 x 200 x 256): a 20.8 MB instance, where the parse rules.
 
+It then measures where reading on two CPUs starts to pay: for solution
+files of N x 256 (2 x N x 256 numbers), the median of ``read_solution``
+with the two-CPU split forced and with it off, read in turn over
+``SPLIT_ROUNDS`` rounds (``harness._SPLIT_CHARS`` set to 0 and to
+infinity), and their ratio. ``harness._SPLIT_CHARS`` is set where the
+ratio falls below 1 with a margin.
+
 Each read's memory is the rise of the peak resident set size across one
 call, in a fresh child process that has already imported cmop, so the
 figure is the read's own high-water mark above the interpreter's. The child
@@ -45,6 +52,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
+import cmop.harness as harness  # noqa: E402
 from cmop import (  # noqa: E402
     gen_instance,
     read_instance,
@@ -57,6 +65,9 @@ from run import child_env, machine_record  # noqa: E402  (perfbench's helpers)
 # name: (M, N, K, rounds)
 SIZES = {"paper": (10, 5, 8, 51), "large": (1000, 200, 256, 7)}
 SMALL_SIZES = {"paper": (10, 5, 8, 1), "large": (40, 20, 16, 1)}
+# Solution rows N of the split crossover, and its rounds.
+SPLIT_ROWS, SPLIT_ROUNDS = (10, 20, 40, 60, 80, 100, 160, 200), 41
+SMALL_SPLIT_ROWS, SMALL_SPLIT_ROUNDS = (2,), 1
 
 # Run in a child: import cmop, then report the peak RSS rise (kB) of one read.
 _RSS_CHILD = """
@@ -116,6 +127,32 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
     }
 
 
+def split_crossover(rows: tuple, rounds: int, tmp: Path) -> dict:
+    rng = np.random.default_rng(2)
+    saved, out = harness._SPLIT_CHARS, {}
+    for n in rows:
+        w = rng.standard_normal((n, 256)) + 1j * rng.standard_normal((n, 256))
+        path = tmp / f"split-{n}.json"
+        write_solution(w, path)
+
+        def read(limit, path=path):
+            harness._SPLIT_CHARS = limit
+            read_solution(path)
+
+        try:
+            seconds = _median_s({"split": lambda: read(0), "serial": lambda: read(float("inf"))},
+                                rounds)
+        finally:
+            harness._SPLIT_CHARS = saved
+        out[str(2 * n * 256)] = {
+            "bytes": path.stat().st_size,
+            "split_s": round(seconds["split"], 6),
+            "serial_s": round(seconds["serial"], 6),
+            "ratio": round(seconds["split"] / seconds["serial"], 3),
+        }
+    return {"rounds": rounds, "split_chars": saved, "numbers": out}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=Path("BENCH_io.json"))
@@ -130,6 +167,9 @@ def main(argv=None) -> int:
         for name, (m, n, k, rounds) in sizes.items():
             run["sizes"][name] = run_size(m, n, k, rounds, Path(tmp))
             print(f"{name}: {json.dumps(run['sizes'][name])}", file=sys.stderr)
+        split = (SMALL_SPLIT_ROWS, SMALL_SPLIT_ROUNDS) if args.small else (SPLIT_ROWS, SPLIT_ROUNDS)
+        run["read_split"] = split_crossover(*split, Path(tmp))
+        print(f"read_split: {json.dumps(run['read_split'])}", file=sys.stderr)
 
     runs = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs[args.label] = run
