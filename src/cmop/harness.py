@@ -19,22 +19,27 @@ Instance and solution files hold exactly the bytes of
 line, indented one space per level, with an LF after the closing brace.
 The writer encodes each matrix with json's compact C encoder and then
 widens its separators to that layout; a document of any other shape goes
-to ``json.dumps`` itself. A document with at least ``_SPLIT_NUMBERS``
-numbers in its matrices has every other matrix encoded by a forked child,
-pinned to a second CPU, when forking is safe (see :func:`_can_fork`); a
-child that fails leaves this process to encode everything, and the bytes
-never depend on the split.
+to ``json.dumps`` itself. Keys and scalars are encoded before the file is
+opened, so a document that cannot be encoded leaves it untouched; each
+matrix's text is then written as it is made. A document with at least
+``_SPLIT_NUMBERS`` numbers in its matrices has every other matrix encoded
+by a forked child, pinned to a second CPU, when forking is safe (see
+:func:`_can_fork`); a child that fails leaves this process to encode
+everything, and the bytes never depend on the split.
 
-The reader walks the top-level object one member at a time and turns each
+The reader decodes a file of fewer than ``_WALK_BYTES`` bytes whole for
+``json.loads``. It reads a larger one into an anonymous private mmap, off
+the malloc heap (a map of the file would let another process that shrinks
+it kill this one with SIGBUS), and walks it one member at a time: each
 array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``, ``w_im`` in
-solution files) into a float64 array as soon as it is parsed, so a read
-never holds the whole document as Python floats. A file of at least
-``_SPLIT_CHARS`` bytes with two or more matrices has every other matrix
-parsed by a forked child into a shared buffer, under the same rule (see
-:func:`_split_walk`); a document the split cannot take, or a child that
-fails, leaves this process to walk the file alone. What the reader
-returns, and every error it raises, is what ``json.loads`` of the file
-would give with those fields converted, on either path.
+solution files) is decoded on its own, turned into a float64 array and its
+pages released, so a read holds one matrix's text at a time. A file of at
+least ``_SPLIT_CHARS`` bytes with two or more matrices has every other
+matrix parsed by a forked child, under the same rule (see
+:func:`_split_walk`). A document the walk cannot take, a child that fails
+or a file whose size changes while it is read is decoded whole for
+``json.loads``. What the reader returns, and every error it raises, is
+what ``json.loads`` of the file would give with those fields converted.
 
 Trace files are CSV with header
 ``iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns``, LF line
@@ -50,6 +55,7 @@ two.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import json
 import math
@@ -191,121 +197,165 @@ def _float_array(doc: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
 
 
 _ARRAY_FIELDS = {"instance": ("h_re", "h_im", "a_re", "a_im"), "solution": ("w_re", "w_im")}
-_JSON_WS = re.compile(r"[ \t\n\r]*")  # JSON's four whitespace characters, as json.loads skips
+_JSON_WS = re.compile(rb"[ \t\n\r]*")  # JSON's four whitespace characters, as json.loads skips
 _DECODER = json.JSONDecoder()
+_WINDOW = 64  # bytes first decoded for a key, or for a member that is not a matrix
+_NUMBER_GOES_ON = ".0123456789Ee"  # bytes that could extend a number just decoded
 
 
-def _walk_object(text: str, parse_value) -> dict | None:
-    """Parse a top-level JSON object one member at a time.
+def _value(buf, pos: int, stop: int):
+    """The JSON value at ``pos`` in ``buf`` and the offset just past it.
 
-    ``parse_value(key, pos)`` returns the value of member ``key``, whose
-    text starts at ``pos``, and the offset just past it; it raises
-    ValueError or RecursionError where it cannot. Anything this walk does
-    not follow (a top level that is not an object, a syntax error,
-    trailing data, nesting past the recursion limit) returns None, and the
-    caller re-parses with ``json.loads``. Otherwise every key stands where
-    ``json.loads(text)`` puts it, duplicates included: the last value wins
-    in the first key's position.
+    It is decoded from ``buf[pos:stop]``, or from windows four times as
+    long each time the value runs past the last one: a value is taken once
+    it ends before the window's last byte and the byte after it could not
+    extend a number. At the end of the buffer, the window's error is raised
+    (ValueError, also for bytes that are not ASCII)."""
+    size = len(buf)
+    while True:
+        stop = min(stop, size)
+        try:
+            text = codecs.ascii_decode(memoryview(buf)[pos:stop])[0]
+            value, end = _DECODER.raw_decode(text)
+            if stop == size or (end < len(text) and text[end] not in _NUMBER_GOES_ON):
+                return value, pos + end
+        except ValueError:
+            if stop == size:
+                raise
+        stop = pos + 4 * (stop - pos)
+
+
+def _walk_object(buf, parse_value) -> dict | None:
+    """Parse the top-level JSON object in ``buf`` one member at a time.
+
+    Keys are decoded by :func:`_value`; ``parse_value(key, pos)`` returns
+    the value of member ``key``, which starts at ``pos``, and the offset
+    just past it, and raises ValueError or RecursionError where it cannot.
+    Anything this walk does not follow (a top level that is not an object,
+    a syntax error, a byte that is not ASCII, trailing data, nesting past
+    the recursion limit) returns None, and the caller decodes the file
+    whole for ``json.loads``. Otherwise every key stands where
+    ``json.loads`` puts it, duplicates included: the last value wins in
+    the first key's position.
     """
     skip = _JSON_WS.match
-    decode = _DECODER.raw_decode
-    pos = skip(text).end()
-    if text[pos:pos + 1] != "{":
+    pos = skip(buf).end()
+    if buf[pos:pos + 1] != b"{":
         return None
     doc = {}
-    pos = skip(text, pos + 1).end()
-    if text[pos:pos + 1] == "}":
+    pos = skip(buf, pos + 1).end()
+    if buf[pos:pos + 1] == b"}":
         pos += 1
     else:
         try:
             while True:
-                if text[pos:pos + 1] != '"':
+                if buf[pos:pos + 1] != b'"':
                     return None
-                key, pos = decode(text, pos)
-                pos = skip(text, pos).end()
-                if text[pos:pos + 1] != ":":
+                key, pos = _value(buf, pos, pos + _WINDOW)
+                pos = skip(buf, pos).end()
+                if buf[pos:pos + 1] != b":":
                     return None
-                doc[key], pos = parse_value(key, skip(text, pos + 1).end())
-                pos = skip(text, pos).end()
-                sep = text[pos:pos + 1]
+                doc[key], pos = parse_value(key, skip(buf, pos + 1).end())
+                pos = skip(buf, pos).end()
+                sep = buf[pos:pos + 1]
                 pos += 1
-                if sep == "}":
+                if sep == b"}":
                     break
-                if sep != ",":
+                if sep != b",":
                     return None
-                pos = skip(text, pos).end()
+                pos = skip(buf, pos).end()
         except (ValueError, RecursionError):
             return None
-    if skip(text, pos).end() != len(text):
+    if skip(buf, pos).end() != len(buf):
         return None
     return doc
 
 
-def _converting(text: str, arrays):
-    """The ``parse_value`` of a serial walk: each member named in
-    ``arrays`` becomes a float64 array as soon as it is parsed, so its
-    nested lists of Python floats are freed before the next member is
-    read. A value that does not convert stays as parsed."""
+def _matrix_end(buf, pos: int) -> int:
+    """Where the matrix at ``pos`` ends if it is one: just past the first
+    ']' that follows another ']' and JSON whitespace; -1 if none does."""
+    close = buf.find(b"]", pos)
+    while close >= 0:
+        after = _JSON_WS.match(buf, close + 1).end()
+        if buf[after:after + 1] == b"]":
+            return after + 1
+        close = buf.find(b"]", after)
+    return -1
+
+
+def _release(buf, start: int, end: int) -> None:
+    """Give the pages that lie wholly inside ``buf[start:end]`` back to the
+    system. Nothing reads them again."""
+    first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
+    last = end // mmap.PAGESIZE * mmap.PAGESIZE
+    if last > first:
+        buf.madvise(mmap.MADV_DONTNEED, first, last - first)
+
+
+def _converted(value):
+    """``value`` as a float64 array, or as it is if it does not convert
+    (:func:`_float_array` then reports it by field name)."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        return value
+
+
+def _converting(buf, arrays):
+    """The ``parse_value`` of a serial walk. A member named in ``arrays``
+    that opens with '[' is decoded from its text up to the byte after where
+    :func:`_matrix_end` predicts it ends, and becomes a float64 array if it
+    converts (a value that does not stays as parsed); every other member is
+    decoded from a small window. The member's pages are released once it is
+    parsed, so the read holds the text of one matrix at a time."""
 
     def parse_value(key: str, pos: int):
-        value, end = _DECODER.raw_decode(text, pos)
-        if key in arrays:
-            try:
-                value = np.asarray(value, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                pass  # _float_array reports it by field name
-        return value, end
+        end = _matrix_end(buf, pos) if key in arrays and buf[pos:pos + 1] == b"[" else -1
+        value, end = _value(buf, pos, end + 1 if end > 0 else pos + _WINDOW)
+        _release(buf, pos, end)
+        return (_converted(value) if key in arrays else value), end
 
     return parse_value
 
 
-def _matrix_end(text: str, pos: int) -> int:
-    """Where the matrix at ``pos`` ends if it is one: just past the first
-    ']' that follows another ']' and JSON whitespace; -1 if none does."""
-    close = text.find("]", pos)
-    while close >= 0:
-        after = _JSON_WS.match(text, close + 1).end()
-        if text[after:after + 1] == "]":
-            return after + 1
-        close = text.find("]", after)
-    return -1
+def _parsed_array(buf, start: int, end: int):
+    """The JSON value at ``start``, predicted to end at ``end`` and decoded
+    by :func:`_value`, as a float64 array, and the offset past it. Its lists
+    are freed on return."""
+    value, stop = _value(buf, start, end + 1)
+    return np.asarray(value, dtype=np.float64), stop
 
 
-def _parsed_array(text: str, pos: int):
-    """The JSON value at ``pos`` as a float64 array, and the offset past
-    it. Its lists are freed on return."""
-    value, end = _DECODER.raw_decode(text, pos)
-    return np.asarray(value, dtype=np.float64), end
-
-
-def _split_walk(text: str, arrays) -> dict | None:
+def _split_walk(buf, arrays) -> dict | None:
     """:func:`_walk_object`'s result with the matrices parsed on two CPUs,
     or None if the split does not apply or fails in any way.
 
     The walk decodes keys and scalars but only predicts where each member
     named in ``arrays`` that opens with '[' ends (:func:`_matrix_end`).
     With two such members or more, a forked child parses every other one
-    (see :func:`_run_groups`) into an anonymous shared mmap and sends back
-    its shape and end, while this process parses the rest. The result
+    from the buffer it inherits (see :func:`_run_groups`) into an anonymous
+    shared mmap and sends back its shape and end, while this process
+    parses the rest. Each process first releases the pages of the other's
+    matrices, then those of each of its own once it is parsed. The result
     stands only if every one of them converts and ends where predicted;
-    the child's arrays are then views of the buffer, adopted without a
+    the child's arrays are then views of the shared map, adopted without a
     copy. Duplicate keys, a 3-D or ragged array or a string holding ']]'
     all return None."""
-    parse, keys, members = _converting(text, arrays), set(), []  # members: (key, start, end)
+    parse, keys, members = _converting(buf, arrays), set(), []  # members: (key, start, end)
 
     def predict(key: str, pos: int):
         if key in keys:
-            raise ValueError("duplicate key")  # the serial walk keeps json.loads's order
+            raise ValueError("duplicate key")  # json.loads keeps the first key's position
         keys.add(key)
-        if key not in arrays or text[pos:pos + 1] != "[":
+        if key not in arrays or buf[pos:pos + 1] != b"[":
             return parse(key, pos)
-        end = _matrix_end(text, pos)
+        end = _matrix_end(buf, pos)
         if end < 0:
             raise ValueError("no matrix end")
         members.append((key, pos, end))
         return None, end
 
-    doc = _walk_object(text, predict)
+    doc = _walk_object(buf, predict)
     if doc is None or len(members) < 2:
         return None
     groups = [list(range(0, len(members), 2)), list(range(1, len(members), 2))]
@@ -315,16 +365,21 @@ def _split_walk(text: str, arrays) -> dict | None:
     for i in groups[1]:
         room[i], offsets[i] = (members[i][2] - members[i][1]) // 2, size
         size += 8 * room[i]
-    buf = mmap.mmap(-1, size)
+    out = mmap.mmap(-1, size)
 
     def run_group(group: list[int]) -> list:
+        for i, (_, start, end) in enumerate(members):
+            if i not in group:
+                _release(buf, start, end)
         parsed = []
         for i in group:
-            array, end = _parsed_array(text, members[i][1])
+            _, start, end = members[i]
+            array, stop = _parsed_array(buf, start, end)
+            _release(buf, start, end)
             if i in offsets:  # in the child: publish the numbers, send the shape
-                np.frombuffer(buf, np.float64, array.size, offsets[i])[:] = array.ravel()
+                np.frombuffer(out, np.float64, array.size, offsets[i])[:] = array.ravel()
                 array = array.shape
-            parsed.append((array, end))
+            parsed.append((array, stop))
         return parsed
 
     def valid(result, group) -> bool:
@@ -338,51 +393,78 @@ def _split_walk(text: str, arrays) -> dict | None:
 
     try:
         mine, theirs = _run_groups(groups, run_group, valid)
-    except Exception:  # a failed split only costs time: the caller walks serially
+    except Exception:  # a failed split only costs time: the caller decodes the file whole
         return None
     if any(end != members[i][2] for (_, end), i in zip(mine, groups[0])):
         return None
     for (array, _), i in zip(mine, groups[0]):
         doc[members[i][0]] = array
     for (shape, _), i in zip(theirs, groups[1]):
-        view = np.frombuffer(buf, np.float64, math.prod(shape), offsets[i])
+        view = np.frombuffer(out, np.float64, math.prod(shape), offsets[i])
         doc[members[i][0]] = view.reshape(shape)
     return doc
 
 
 # A file of at least this many bytes has its matrices parsed on two CPUs
 # (see _split_walk). Reading two N x 256 solution matrices (about 23.7 bytes
-# a number) on a shared 2-vCPU x86-64 VM, split against serial by the median
-# of 21 to 61 interleaved reads, over seven runs: 1.3-2.6x as long up to
-# 0.24 MB, 0.84-1.21x at 0.48-0.87 MB, 0.71-1.20x at 0.97-1.21 MB,
-# 0.69-1.14x at 1.9-2.4 MB and 0.61-0.65x at 4.8 MB. The crossover moved
-# between 0.5 and 1.5 MB with the host's speed; a 20.8 MB instance read
-# took 0.55-0.75x.
-_SPLIT_CHARS = 2**20
+# a number) on a shared 2-vCPU x86-64 VM, split against the serial walk by
+# the median of 61 interleaved reads, over 5 to 17 runs a size: 1.15-5.7x
+# as long up to 0.24 MB; at 0.48, 0.73, 0.97 and 1.45 MB it lost 6 of 7,
+# 2 of 12, 1 of 12 and 2 of 17 runs (up to 1.51x), and won 5 of 5 at
+# 1.21 MB; from 1.94 MB on it won every run (0.59-0.97x), save one tie
+# (1.00x) at 2.42 MB.
+_SPLIT_CHARS = 1_900_000
+# A file of fewer bytes is decoded whole for json.loads. The walk reads no
+# faster: on the same VM it took 1.04-1.09x as long as json.loads from 0.06
+# to 1.9 MB and 0.96-1.00x at 2.4-4.8 MB, and 1.8x on a 6.4 kB instance
+# (0.31 against 0.17 ms). What it saves is memory, the file's bytes and
+# text at once, which below this size come to at most about 2 MB.
+_WALK_BYTES = 2**20
+
+
+def _walked(file, size: int, arrays) -> dict | None:
+    """The walk of the open ``file`` of ``size`` bytes, read into an
+    anonymous private mmap (never a map of the file, which another process
+    could shrink under the walk): :func:`_split_walk` where it applies,
+    else the serial walk. None if the file no longer holds ``size`` bytes
+    or the walk cannot take it."""
+    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # populate: fewer faults
+    with mmap.mmap(-1, size, flags=flags) as buf:
+        if file.readinto(buf) != size or file.read(1):
+            return None
+        if size >= _SPLIT_CHARS and _can_fork():
+            return _split_walk(buf, arrays)
+        return _walk_object(buf, _converting(buf, arrays))
 
 
 def _read_json_object(path, kind: str) -> dict:
     """Parse an ASCII JSON file whose top level must be an object.
 
-    The array fields of ``kind`` come back as float64 arrays when they
-    convert, each converted as soon as it is parsed; see
-    :func:`_walk_object`. A file of at least ``_SPLIT_CHARS`` bytes has
-    its matrices parsed on two CPUs when :func:`_can_fork`; see
-    :func:`_split_walk`. Where that does not apply or fails, the file is
-    walked here alone, so the result never depends on the split. Errors
-    are those of ``json.loads`` on the file's text with its line endings
-    kept, so their positions are offsets in the file.
+    A file of at least ``_WALK_BYTES`` bytes is walked one member at a time
+    from a buffer off the malloc heap (see :func:`_walked`): each array
+    field of ``kind`` becomes a float64 array, and its pages are released,
+    before the next member is read. With at least ``_SPLIT_CHARS`` bytes,
+    its matrices are parsed on two CPUs (see :func:`_split_walk`). A
+    smaller file, one the walk cannot take and one whose size changes while
+    it is read are decoded whole for ``json.loads``, and their array fields
+    converted after. So what this returns (an array field that does not
+    convert stays as parsed) and every error it raises never depend on the
+    path. Errors are those of ``json.loads`` on the file's text with its
+    line endings kept, so their positions are offsets in the file.
     """
     arrays = _ARRAY_FIELDS[kind]
     try:
-        text = Path(path).read_bytes().decode("ascii")
-        doc = None
-        if len(text) >= _SPLIT_CHARS and _can_fork():
-            doc = _split_walk(text, arrays)
-        if doc is None:
-            doc = _walk_object(text, _converting(text, arrays))
-        if doc is None:
-            doc = json.loads(text)
+        with open(path, "rb") as file:
+            size = os.fstat(file.fileno()).st_size
+            walk = size >= max(_WALK_BYTES, 1) and hasattr(mmap, "MADV_DONTNEED")
+            doc = _walked(file, size, arrays) if walk else None
+            if doc is None:
+                file.seek(0)
+                doc = json.loads(file.read().decode("ascii"))
+                if isinstance(doc, dict):
+                    for key in arrays:
+                        if key in doc:
+                            doc[key] = _converted(doc[key])
     except OSError as exc:
         raise InputError(f"cannot read {kind} file {path}: {exc}") from exc
     except ValueError as exc:  # non-ASCII bytes, bad syntax, over-long integers
@@ -416,8 +498,8 @@ def instance_from_document(doc: dict) -> ProblemInstance:
 
 def write_instance(doc: dict, path) -> None:
     """Write an instance document as ASCII JSON: the bytes of
-    ``json.dumps(doc, indent=1) + "\\n"``, encoded by :func:`_dumps`."""
-    Path(path).write_text(_dumps(doc) + "\n", encoding="ascii")
+    ``json.dumps(doc, indent=1) + "\\n"``, written by :func:`_write_json`."""
+    _write_json(doc, path)
 
 
 def read_instance(path) -> tuple[ProblemInstance, dict]:
@@ -435,8 +517,8 @@ def read_instance(path) -> tuple[ProblemInstance, dict]:
 def write_solution(w, path) -> None:
     """Write a solution matrix as JSON with split re/im arrays: the bytes of
     ``json.dumps(doc, indent=1) + "\\n"`` for the document
-    ``{"n": N, "k": K, "w_re": [[...]], "w_im": [[...]]}``, encoded by
-    :func:`_dumps`."""
+    ``{"n": N, "k": K, "w_re": [[...]], "w_im": [[...]]}``, written by
+    :func:`_write_json`."""
     w = np.asarray(w)
     doc = {
         "n": w.shape[0],
@@ -444,17 +526,17 @@ def write_solution(w, path) -> None:
         "w_re": w.real.tolist(),
         "w_im": w.imag.tolist(),
     }
-    Path(path).write_text(_dumps(doc) + "\n", encoding="ascii")
+    _write_json(doc, path)
 
 
 _COMPACT = json.JSONEncoder(separators=(",", ":"))  # served by json's C encoder
 _SCALAR_TYPES = (str, int, float, bool, type(None))
-_NUMBER_TYPES = {int, float}
 
 
 def _is_matrix(value) -> bool:
-    """Whether ``value`` is a non-empty list of non-empty lists of ints and
-    floats (exact types, so no repr can differ between json's encoders)."""
+    """Whether ``value`` is a non-empty list of non-empty lists of floats.
+    The types are exact, so no repr can differ between json's encoders, and
+    there are no ints, one of which could be too long to encode."""
     if type(value) is not list or not value:
         return False
     types = set()
@@ -462,7 +544,7 @@ def _is_matrix(value) -> bool:
         if type(row) is not list or not row:
             return False
         types.update(map(type, row))
-    return types <= _NUMBER_TYPES
+    return types == {float}
 
 
 def _matrix_text(matrix: list) -> str:
@@ -474,29 +556,43 @@ def _matrix_text(matrix: list) -> str:
     return "[\n  [\n   " + text + "\n  ]\n ]"
 
 
-def _dumps(doc) -> str:
-    """``json.dumps(doc, indent=1)``, byte for byte, at the speed of json's C
-    encoder for the documents cmop writes: an object with str keys whose
-    values are scalars or matrices (see :func:`_is_matrix`). Anything else
-    goes to ``json.dumps``, which also raises what it raises on a value it
-    cannot encode. The matrices are encoded by :func:`_matrix_texts`."""
-    if type(doc) is not dict or not doc:
-        return json.dumps(doc, indent=1)
-    texts, matrices = [], []  # matrices: positions in texts
-    for key, value in doc.items():
-        if type(key) is not str:
-            return json.dumps(doc, indent=1)
-        if type(value) in _SCALAR_TYPES:
-            texts.append(json.dumps(value))
-        elif _is_matrix(value):
-            matrices.append(len(texts))
-            texts.append(value)
+def _layout(doc) -> tuple[list[str], list[list], str]:
+    """``(heads, matrices, tail)``: ``json.dumps(doc, indent=1) + "\\n"`` is
+    ``heads[0]``, the :func:`_matrix_text` of ``matrices[0]``, ``heads[1]``
+    and so on, then ``tail``, raising what ``json.dumps`` raises. A document
+    other than an object of str keys and scalar or matrix values (see
+    :func:`_is_matrix`) is all tail."""
+    if type(doc) is dict and doc:
+        heads, matrices, text = [], [], "{"
+        for i, (key, value) in enumerate(doc.items()):
+            if type(key) is not str:
+                break
+            text += (",\n " if i else "\n ") + json.dumps(key) + ": "
+            if type(value) in _SCALAR_TYPES:
+                text += json.dumps(value)
+            elif _is_matrix(value):
+                heads.append(text)
+                matrices.append(value)
+                text = ""
+            else:
+                break
         else:
-            return json.dumps(doc, indent=1)
-    for i, text in zip(matrices, _matrix_texts([texts[i] for i in matrices])):
-        texts[i] = text
-    members = ",\n".join(f" {json.dumps(key)}: {text}" for key, text in zip(doc, texts))
-    return "{\n" + members + "\n}"
+            return heads, matrices, text + "\n}\n"
+    return [], [], json.dumps(doc, indent=1) + "\n"
+
+
+def _write_json(doc, path) -> None:
+    """Write the bytes of ``json.dumps(doc, indent=1) + "\\n"`` to ``path``,
+    one matrix at a time. All but the matrices is encoded first (see
+    :func:`_layout`), so a document that cannot be encoded raises before
+    the file is opened; each matrix's text is then written as
+    :func:`_matrix_texts` hands it out, and dropped."""
+    heads, matrices, tail = _layout(doc)
+    with open(path, "wb") as file:
+        for head, text in zip(heads, _matrix_texts(matrices)):
+            file.write(head.encode("ascii"))
+            file.write(text.encode("ascii"))
+        file.write(tail.encode("ascii"))
 
 
 # The matrices of a document with at least this many numbers in all are
@@ -509,11 +605,12 @@ def _dumps(doc) -> str:
 _SPLIT_NUMBERS = 2**16
 
 
-def _matrix_texts(matrices: list[list]) -> list[str]:
-    """:func:`_matrix_text` of every matrix. With at least
-    ``_SPLIT_NUMBERS`` numbers in all, two or more matrices and
-    :func:`_can_fork`, a forked child encodes every other matrix while this
-    process encodes the rest; if that fails in any way, this process
+def _matrix_texts(matrices: list[list]):
+    """:func:`_matrix_text` of every matrix, in order, each made when it is
+    asked for. With at least ``_SPLIT_NUMBERS`` numbers in all, two or more
+    matrices and :func:`_can_fork`, a forked child encodes every other
+    matrix while this process encodes the rest, and the texts are then
+    handed out one at a time; if that fails in any way, this process
     encodes them all, so the text never depends on the split."""
     if (
         len(matrices) > 1
@@ -536,12 +633,13 @@ def _matrix_texts(matrices: list[list]) -> list[str]:
         except Exception:  # a failed split only costs time: encode serially below
             pass
         else:
-            texts = [""] * len(matrices)
-            for group, result in zip(groups, results):
-                for i, text in zip(group, result):
-                    texts[i] = text
-            return texts
-    return [_matrix_text(matrix) for matrix in matrices]
+            texts = dict(zip(groups[0] + groups[1], results[0] + results[1]))
+            del results
+            for i in range(len(matrices)):
+                yield texts.pop(i)
+            return
+    for matrix in matrices:
+        yield _matrix_text(matrix)
 
 
 def read_solution(path):

@@ -2,7 +2,8 @@
 bytes are ``json.dumps(doc, indent=1) + "\\n"`` on the C-encoded path, on
 its two-CPU split and on every document the fast path hands back to
 ``json.dumps``; a failed split falls back to the same bytes and leaves no
-process behind."""
+process behind; a document that cannot be encoded leaves the file as it
+was."""
 
 import json
 import os
@@ -45,23 +46,28 @@ def _written(doc, tmp_path) -> bytes:
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def tmp_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
 def _solution_doc(w) -> dict:
     return {"n": w.shape[0], "k": w.shape[1], "w_re": w.real.tolist(), "w_im": w.imag.tolist()}
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(DOCUMENTS)
-def test_documents_of_scalars_and_matrices(doc):
-    assert harness._dumps(doc) == json.dumps(doc, indent=1)
+def test_documents_of_scalars_and_matrices(tmp_dir, doc):
+    assert _written(doc, tmp_dir) == _reference(doc)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), MATRICES, min_size=2))
-def test_split_documents(doc):
+def test_split_documents(tmp_dir, doc):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_SPLIT_NUMBERS", 1)
         patch.setattr(harness, "_usable_cpus", lambda: 2)
-        assert harness._dumps(doc) == json.dumps(doc, indent=1)
+        assert _written(doc, tmp_dir) == _reference(doc)
 
 
 HANDED_BACK = {
@@ -96,13 +102,20 @@ def test_ragged_rows_of_numbers(tmp_path):
     {"n": np.int64(3)},
     {"w": [[1.0, np.int64(2)]]},
     {"w": [[1.0]], "v": [[object()]]},
-], ids=["scalar", "matrix-item", "second-matrix"])
+    {"w": [[1.0]], "v": [[2.0, 10**5000]]},
+    {"w": [[1.0]], "n": 10**5000},
+], ids=["scalar", "matrix-item", "second-matrix", "long-int-item", "long-int-scalar"])
 def test_unserializable_values_raise_what_json_raises(doc, tmp_path, split_everything):
-    with pytest.raises(TypeError) as expected:
+    """Also after a matrix that encodes: the file is neither opened nor
+    truncated, since every matrix of exact floats encodes."""
+    with pytest.raises((TypeError, ValueError)) as expected:
         json.dumps(doc, indent=1)
-    with pytest.raises(TypeError) as raised:
-        write_instance(doc, tmp_path / "doc.json")
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"kept")
+    with pytest.raises(expected.type) as raised:
+        write_instance(doc, path)
     assert str(raised.value) == str(expected.value)
+    assert path.read_bytes() == b"kept"
 
 
 def test_instance_and_solution_files(tmp_path):

@@ -35,10 +35,11 @@ INSTANCES = tuple((f"p{seed}", ["--seed", str(seed)]) for seed in range(5)) + (
 )
 # An instance and a solution just above the 2^16 numbers from which the
 # writer encodes a document's matrices on two CPUs (harness._SPLIT_NUMBERS):
-# 2 x 160 x (128 + 257) and 2 x 128 x 257 numbers. Their files, 2.9 and
-# 1.6 MB, are also above the size from which the reader parses them on two
-# CPUs (harness._SPLIT_CHARS). The digest pins those paths with three
-# commands, not the whole matrix.
+# 2 x 160 x (128 + 257) and 2 x 128 x 257 numbers. Both files, 2.9 and
+# 1.6 MB, are above the size from which the reader walks a file's buffer
+# (harness._WALK_BYTES), and the instance is above the size from which it
+# parses the matrices on two CPUs (harness._SPLIT_CHARS). The digest pins
+# those paths with three commands, not the whole matrix.
 SPLIT_INSTANCE = ("s0", ["--seed", "0", "--m", "160", "--n", "128", "--k", "257"])
 SWEEP_ALPHAS = "f0.3,f0.9,fbad"
 # More steps than CPUs, out of cost order, with an error row and a step that

@@ -1,4 +1,4 @@
-"""Time instance and solution file I/O, and measure the memory a read adds.
+"""Time instance and solution file I/O, and measure the memory each call adds.
 
 Usage, from the root of a source checkout (it imports cmop from ``src``)::
 
@@ -15,21 +15,29 @@ rounds. Two regimes:
 * ``paper`` (10 x 5 x 8): a file of a few kB, where per-call overhead rules.
 * ``large`` (1000 x 200 x 256): a 20.8 MB instance, where the parse rules.
 
-It then measures where reading on two CPUs starts to pay: for solution
-files of N x 256 (2 x N x 256 numbers), the median of ``read_solution``
-with the two-CPU split forced and with it off, read in turn over
-``SPLIT_ROUNDS`` rounds (``harness._SPLIT_CHARS`` set to 0 and to
-infinity), and their ratio. ``harness._SPLIT_CHARS`` is set where the
-ratio falls below 1 with a margin.
+It then measures where two read paths cross, for solution files of
+N x 256 (2 x N x 256 numbers): the median of ``read_solution`` on each
+path, read in turn over ``CROSSOVER_ROUNDS`` rounds, and their ratio.
 
-Each read's memory is the rise of the peak resident set size across one
-call, in a fresh child process that has already imported cmop, so the
-figure is the read's own high-water mark above the interpreter's. The child
-reads the peak as ``VmHWM`` from ``/proc/self/status`` (Linux): its
-``ru_maxrss`` starts at the peak that this process had reached when it
-forked, which hides any rise below that. The record also holds
-perfbench's machine record: CPU count, BLAS library, version and thread
-count, and the git commit.
+* ``read_split``: the matrices parsed on two CPUs against the serial walk
+  of the file's buffer (``harness._SPLIT_CHARS`` set to 0 and to infinity,
+  ``harness._WALK_BYTES`` to 0). ``harness._SPLIT_CHARS`` is set where the
+  split wins every run.
+* ``read_walk``: the serial walk against ``json.loads`` of the whole file
+  (``harness._WALK_BYTES`` set to 0 and to infinity, no split). The walk
+  saves memory, not time, so ``harness._WALK_BYTES`` keeps small files,
+  where that saving is small and the walk slower, on ``json.loads``.
+
+The memory of each call is the rise of the peak resident set size across
+it, in a fresh child process that has already imported cmop and, for a
+write, loaded the document or matrix it writes (unpickled in 64 kB frames,
+so loading peaks only a little above what it loads). The figure is the
+call's own high-water mark above that. The child reads the peak as
+``VmHWM`` from ``/proc/self/status`` (Linux): its ``ru_maxrss`` starts at
+the peak that this process had reached when it forked, which hides any
+rise below that. The children a call forks are not counted. The record
+also holds perfbench's machine record: CPU count, BLAS library, version
+and thread count, and the git commit.
 
 The output file maps labels to runs, so one file can hold the runs of two
 commits; ``--label`` replaces only the entry with that label.
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import pickle
 import statistics
 import subprocess
 import sys
@@ -65,12 +74,26 @@ from run import child_env, machine_record  # noqa: E402  (perfbench's helpers)
 # name: (M, N, K, rounds)
 SIZES = {"paper": (10, 5, 8, 51), "large": (1000, 200, 256, 7)}
 SMALL_SIZES = {"paper": (10, 5, 8, 1), "large": (40, 20, 16, 1)}
-# Solution rows N of the split crossover, and its rounds.
-SPLIT_ROWS, SPLIT_ROUNDS = (10, 20, 40, 60, 80, 100, 160, 200), 41
-SMALL_SPLIT_ROWS, SMALL_SPLIT_ROUNDS = (2,), 1
+# Solution rows N of the crossovers, and their rounds.
+CROSSOVER_ROWS = (5, 10, 20, 40, 60, 80, 120, 160, 200, 300, 400)
+CROSSOVER_ROUNDS = 61
+SMALL_CROSSOVER_ROWS, SMALL_CROSSOVER_ROUNDS = (2,), 1
+# name: the harness settings of its two read paths, the one timed first.
+CROSSOVERS = {
+    "read_split": {
+        "split": {"_WALK_BYTES": 0, "_SPLIT_CHARS": 0},
+        "serial": {"_WALK_BYTES": 0, "_SPLIT_CHARS": float("inf")},
+    },
+    "read_walk": {
+        "walk": {"_WALK_BYTES": 0, "_SPLIT_CHARS": float("inf")},
+        "loads": {"_WALK_BYTES": float("inf"), "_SPLIT_CHARS": float("inf")},
+    },
+}
 
-# Run in a child: import cmop, then report the peak RSS rise (kB) of one read.
+# Run in a child: import cmop, unpickle what a write writes, then report the
+# peak RSS rise (kB) of one call: harness.<argv[1]>([loaded,] argv[2]).
 _RSS_CHILD = """
+import pickle
 import sys
 import cmop.harness as harness
 
@@ -78,9 +101,13 @@ def peak_kb():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-read = getattr(harness, sys.argv[1])
+args = [sys.argv[2]]
+if len(sys.argv) > 3:
+    with open(sys.argv[3], "rb") as source:
+        args.insert(0, pickle.load(source))
+call = getattr(harness, sys.argv[1])
 before = peak_kb()
-read(sys.argv[2])
+call(*args)
 print(peak_kb() - before)
 """
 
@@ -97,9 +124,16 @@ def _median_s(calls: dict, rounds: int) -> dict:
     return {name: statistics.median(ts) for name, ts in times.items()}
 
 
-def _rss_rise_mb(reader: str, path: Path) -> float:
-    proc = subprocess.run([sys.executable, "-c", _RSS_CHILD, reader, str(path)],
-                          env=child_env(), capture_output=True, text=True, check=True,
+def _rss_rise_mb(call: str, path: Path, data=None) -> float:
+    """The peak RSS rise of ``harness.<call>`` on ``path``, first given
+    ``data`` (pickled to a file next to it) if it is a write."""
+    argv = [sys.executable, "-c", _RSS_CHILD, call, str(path)]
+    if data is not None:
+        source = path.with_suffix(".pickle")
+        with open(source, "wb") as out:
+            pickle.dump(data, out, protocol=5)
+        argv.append(str(source))
+    proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, check=True,
                           timeout=600)
     return int(proc.stdout) / 1024
 
@@ -121,36 +155,45 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
         "solution_bytes": sol.stat().st_size,
         "seconds": {name: round(s, 6) for name, s in seconds.items()},
         "rss_rise_mb": {
+            "write_instance": round(_rss_rise_mb("write_instance", inst, doc), 1),
             "read_instance": round(_rss_rise_mb("read_instance", inst), 1),
+            "write_solution": round(_rss_rise_mb("write_solution", sol, w), 1),
             "read_solution": round(_rss_rise_mb("read_solution", sol), 1),
         },
     }
 
 
-def split_crossover(rows: tuple, rounds: int, tmp: Path) -> dict:
+def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
+    """The median seconds of ``read_solution`` on each of two read paths
+    (``paths``: name to harness settings), and their ratio, first over
+    second, for solution files of N x 256 for each N in ``rows``."""
     rng = np.random.default_rng(2)
-    saved, out = harness._SPLIT_CHARS, {}
+    saved = {name: getattr(harness, name, None) for setting in paths.values() for name in setting}
+    (first, second), out = paths, {}
     for n in rows:
         w = rng.standard_normal((n, 256)) + 1j * rng.standard_normal((n, 256))
-        path = tmp / f"split-{n}.json"
+        path = tmp / f"crossover-{n}.json"
         write_solution(w, path)
 
-        def read(limit, path=path):
-            harness._SPLIT_CHARS = limit
+        def read(setting, path=path):
+            for name, value in setting.items():
+                setattr(harness, name, value)
             read_solution(path)
 
         try:
-            seconds = _median_s({"split": lambda: read(0), "serial": lambda: read(float("inf"))},
+            seconds = _median_s({name: lambda s=setting: read(s) for name, setting in paths.items()},
                                 rounds)
         finally:
-            harness._SPLIT_CHARS = saved
+            for name, value in saved.items():
+                setattr(harness, name, value)
         out[str(2 * n * 256)] = {
             "bytes": path.stat().st_size,
-            "split_s": round(seconds["split"], 6),
-            "serial_s": round(seconds["serial"], 6),
-            "ratio": round(seconds["split"] / seconds["serial"], 3),
+            f"{first}_s": round(seconds[first], 6),
+            f"{second}_s": round(seconds[second], 6),
+            "ratio": round(seconds[first] / seconds[second], 3),
         }
-    return {"rounds": rounds, "split_chars": saved, "numbers": out}
+    return {"rounds": rounds, **{name.lower().lstrip("_"): value for name, value in saved.items()},
+            "numbers": out}
 
 
 def main(argv=None) -> int:
@@ -167,9 +210,11 @@ def main(argv=None) -> int:
         for name, (m, n, k, rounds) in sizes.items():
             run["sizes"][name] = run_size(m, n, k, rounds, Path(tmp))
             print(f"{name}: {json.dumps(run['sizes'][name])}", file=sys.stderr)
-        split = (SMALL_SPLIT_ROWS, SMALL_SPLIT_ROUNDS) if args.small else (SPLIT_ROWS, SPLIT_ROUNDS)
-        run["read_split"] = split_crossover(*split, Path(tmp))
-        print(f"read_split: {json.dumps(run['read_split'])}", file=sys.stderr)
+        rows, rounds = ((SMALL_CROSSOVER_ROWS, SMALL_CROSSOVER_ROUNDS) if args.small
+                        else (CROSSOVER_ROWS, CROSSOVER_ROUNDS))
+        for name, paths in CROSSOVERS.items():
+            run[name] = crossover(paths, rows, rounds, Path(tmp))
+            print(f"{name}: {json.dumps(run[name])}", file=sys.stderr)
 
     runs = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs[args.label] = run
