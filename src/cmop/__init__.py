@@ -37,19 +37,15 @@ from .errors import (
     SingularSystemError,
     WorkerError,
 )
-from .harness import (
+from .formats import (
     gen_instance,
     instance_from_document,
     read_instance,
-    read_solution,
-    run_check,
-    run_experiment,
-    run_solver,
-    run_sweep,
     write_instance,
     write_solution,
     write_trace,
 )
+from .harness import read_solution, run_check, run_experiment, run_solver, run_sweep
 from .objective import (
     Precomputed,
     ProblemInstance,

@@ -15,16 +15,14 @@ import functools
 import sys
 
 from .errors import CmopError
+from .formats import default_seed, gen_instance, write_instance
 from .harness import (
     CHECK_SOURCES,
     ITERATIVE_METHODS,
     METHODS,
-    default_seed,
-    gen_instance,
     run_check,
     run_experiment,
     run_sweep,
-    write_instance,
 )
 from .solvers import STOP_DIVERGED, SolverConfig
 

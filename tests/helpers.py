@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from cmop import ConfigError, InputError, IterationRecord, cmatrix, frob_norm
-from cmop.harness import TRACE_HEADER, gen_instance, instance_from_document
+from cmop.formats import TRACE_HEADER, gen_instance, instance_from_document
 from cmop.objective import _check_w_shape, _residual_objective
 
 _TRACE_CASTS = (int, float, float, float, float, int, int)

@@ -10,6 +10,7 @@ import threading
 import pytest
 
 import cmop.harness as harness
+import cmop.workers as workers
 from cmop import WorkerError, gen_instance, precompute, run_sweep, write_instance
 from helpers import make_instance
 
@@ -41,7 +42,7 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, instance_path, capsys, 
     parallel = _sweep(instance_path, tmp_path / "parallel", method, FRACTIONS, capsys)
     assert os.sched_getaffinity(0) == affinity
     for cpus, children in ((1, 0), (4, 3)):
-        monkeypatch.setattr(harness, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda cpus=cpus: cpus)
         del forks[:]
         out = _sweep(instance_path, tmp_path / f"cpus{cpus}", method, FRACTIONS, capsys)
         assert len(forks) == children
@@ -51,7 +52,7 @@ def test_outputs_do_not_depend_on_worker_count(tmp_path, instance_path, capsys, 
 
 
 def test_mixed_specs_keep_index_order(tmp_path, instance_path, capsys, monkeypatch, forks):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
     files, stdout = _sweep(instance_path, tmp_path / "par", "gd", MIXED, capsys)
     assert len(forks) == 3  # four workers over the five steps that resolve
     rows = [line.split(",") for line in files["summary.csv"].decode().splitlines()[1:]]
@@ -62,18 +63,19 @@ def test_mixed_specs_keep_index_order(tmp_path, instance_path, capsys, monkeypat
     assert rows[3][6] == "diverged"
     assert "trace_1.csv" not in files and "trace_3.csv" in files
 
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
     assert _sweep(instance_path, tmp_path / "one", "gd", MIXED, capsys) == (files, stdout)
 
 
 def test_partition_longest_first():
     inst = make_instance(0)
     pre = precompute(inst)
-    costs = [harness._step_cost(pre, harness._configure(pre, "gd", spec)[1]) for spec in FRACTIONS]
-    assert harness._lpt_groups(costs, 2) == [[0], [1, 2, 3, 4]]
-    for workers in range(1, 7):
-        groups = harness._lpt_groups(costs, workers)
-        assert len(groups) == workers
+    costs = [workers._step_cost(pre, harness._configure(pre, "gd", spec)[1])
+             for spec in FRACTIONS]
+    assert workers._lpt_groups(costs, 2) == [[0], [1, 2, 3, 4]]
+    for count in range(1, 7):
+        groups = workers._lpt_groups(costs, count)
+        assert len(groups) == count
         assert sorted(i for group in groups for i in group) == list(range(5))
 
 
@@ -87,14 +89,14 @@ def test_step_cost_follows_the_gd_rate(tmp_path, monkeypatch, forks):
     assert pre.lipschitz / pre.lambda_min == pytest.approx(7.0, abs=0.05)
     specs = ["f0.1", "f0.3", "f0.5", "f0.99"]
     split = []
-    run_groups = harness._run_groups
+    run_groups = workers._run_groups
 
     def recording(groups, run_group, valid):
         split.append(groups)
         return run_groups(groups, run_group, valid)
 
-    monkeypatch.setattr(harness, "_run_groups", recording)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_run_groups", recording)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     rows = run_sweep(path, "gd", specs, out_dir=tmp_path / "s")
     iterations = [int(row["iterations"]) for row in rows]
     assert max(iterations) == iterations[3]
@@ -102,7 +104,7 @@ def test_step_cost_follows_the_gd_rate(tmp_path, monkeypatch, forks):
     assert len(forks) == 1
     for spec in specs:  # projected steps: x = alpha L < 1, cost 1/x
         alpha = harness._configure(pre, "pgd", spec)[1]
-        assert harness._step_cost(pre, alpha) == 1.0 / (alpha * pre.lipschitz)
+        assert workers._step_cost(pre, alpha) == 1.0 / (alpha * pre.lipschitz)
 
 
 def _deny(records, path):
@@ -112,7 +114,7 @@ def _deny(records, path):
 def _break_workers(monkeypatch, how):
     """Make every worker's group fail in the way ``how`` names; the group
     run in this process is left alone."""
-    run_groups = harness._run_groups
+    run_groups = workers._run_groups
     parent = os.getpid()
 
     def broken(groups, run_group, valid):
@@ -132,7 +134,7 @@ def _break_workers(monkeypatch, how):
 
         return run_groups(groups, group_rows, valid)
 
-    monkeypatch.setattr(harness, "_run_groups", broken)
+    monkeypatch.setattr(workers, "_run_groups", broken)
 
 
 @pytest.mark.parametrize("how, error, message", [
@@ -144,7 +146,7 @@ def _break_workers(monkeypatch, how):
 ])
 def test_failed_worker_raises_and_cleans_up(tmp_path, instance_path, monkeypatch, forks,
                                             how, error, message):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
     _break_workers(monkeypatch, how)
     fds = _open_fds()
     affinity = os.sched_getaffinity(0)
@@ -165,7 +167,7 @@ def test_failed_worker_raises_and_cleans_up(tmp_path, instance_path, monkeypatch
 
 def test_step_exception_in_one_process_matches_a_workers(tmp_path, instance_path, monkeypatch,
                                                          forks):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(harness, "write_trace", _deny)
     out = tmp_path / "s"
     with pytest.raises(PermissionError, match="Permission denied"):
@@ -175,7 +177,7 @@ def test_step_exception_in_one_process_matches_a_workers(tmp_path, instance_path
 
 
 def test_error_in_this_process_stops_the_workers(tmp_path, instance_path, monkeypatch, forks):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
     parent = os.getpid()
     sweep_step = harness._sweep_step
 
@@ -203,7 +205,7 @@ def test_this_process_runs_its_group_on_the_lowest_cpu(tmp_path, instance_path, 
     cpus = os.sched_getaffinity(0)
     parent = os.getpid()
     pinned = []
-    sweep_step, run_groups = harness._sweep_step, harness._run_groups
+    sweep_step, run_groups = harness._sweep_step, workers._run_groups
 
     def recording(*args):
         if os.getpid() == parent:
@@ -216,8 +218,8 @@ def test_this_process_runs_its_group_on_the_lowest_cpu(tmp_path, instance_path, 
         return run_groups(groups, run_group, valid)
 
     monkeypatch.setattr(harness, "_sweep_step", recording)
-    monkeypatch.setattr(harness, "_run_groups", from_the_highest_cpu)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "_run_groups", from_the_highest_cpu)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     run_sweep(instance_path, "gd", FRACTIONS, out_dir=tmp_path / "s")
     assert len(forks) == 1
     assert pinned and all(affinity == {min(cpus)} for affinity in pinned)
@@ -233,7 +235,7 @@ def test_this_process_runs_its_group_on_the_lowest_cpu(tmp_path, instance_path, 
 def test_above_the_gate_never_forks(tmp_path, monkeypatch, m, n, k, method):
     path = tmp_path / "big.cmop.json"
     write_instance(gen_instance(m=m, n=n, k=k, seed=0), path)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
 
     def no_fork():
         raise AssertionError("os.fork called above the gate")
@@ -250,37 +252,37 @@ def test_above_the_gate_never_forks(tmp_path, monkeypatch, m, n, k, method):
     (4, 2, 1250, "real-augmented"),
 ])
 def test_just_below_the_gate_uses_workers(monkeypatch, m, n, k, method):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
-    assert harness._sweep_workers(make_instance(0, m=m, n=n, k=k), method, 5) == 4
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
+    assert workers._sweep_workers(make_instance(0, m=m, n=n, k=k), method, 5) == 4
 
 
 def test_in_process_when_forking_is_unsafe_or_pointless(tmp_path, instance_path, monkeypatch,
                                                         forks):
     inst = make_instance(0)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
-    assert harness._sweep_workers(inst, "gd", 5) == 4
-    assert harness._sweep_workers(inst, "gd", 1) == 1
-    assert harness._sweep_workers(inst, "gd", 0) == 1
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
+    assert workers._sweep_workers(inst, "gd", 5) == 4
+    assert workers._sweep_workers(inst, "gd", 1) == 1
+    assert workers._sweep_workers(inst, "gd", 0) == 1
 
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
-        assert harness._sweep_workers(inst, "gd", 5) == 1
+        assert workers._sweep_workers(inst, "gd", 5) == 1
         run_sweep(instance_path, "gd", FRACTIONS, out_dir=tmp_path / "thread")
     finally:
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
 
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert harness._sweep_workers(inst, "gd", 5) == 1
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+    assert workers._sweep_workers(inst, "gd", 5) == 1
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 4)
     with monkeypatch.context() as without:  # workers run only pinned to CPUs
         without.delattr(os, "sched_setaffinity")
-        assert harness._sweep_workers(inst, "gd", 5) == 1
+        assert workers._sweep_workers(inst, "gd", 5) == 1
         run_sweep(instance_path, "gd", FRACTIONS, out_dir=tmp_path / "noaffinity")
     monkeypatch.delattr(os, "fork")
-    assert harness._sweep_workers(inst, "gd", 5) == 1
+    assert workers._sweep_workers(inst, "gd", 5) == 1
     run_sweep(instance_path, "gd", FRACTIONS, out_dir=tmp_path / "nofork")
     assert forks == []

@@ -25,10 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cmop.harness as harness
+import cmop.formats as formats
+import cmop.workers as workers
 from cmop import gen_instance, read_instance, write_instance
 from cmop.errors import InputError
-from cmop.harness import _read_json_object
+from cmop.formats import _read_json_object
 
 ROOT = Path(__file__).resolve().parent.parent
 NAMED = {"instance": ("h_re", "h_im", "a_re", "a_im"), "solution": ("w_re", "w_im")}
@@ -189,8 +190,8 @@ def expected_document(path: Path, kind: str) -> dict:
 def walk_forced():
     """Every read within walks the file's buffer in this process alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_WALK_BYTES", 0)
-        patch.setattr(harness, "_SPLIT_CHARS", float("inf"))
+        patch.setattr(formats, "_WALK_BYTES", 0)
+        patch.setattr(formats, "_SPLIT_CHARS", float("inf"))
         yield
 
 
@@ -198,9 +199,9 @@ def walk_forced():
 def split_forced():
     """Every read within takes the two-CPU path where its document allows."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_WALK_BYTES", 0)
-        patch.setattr(harness, "_SPLIT_CHARS", 0)
-        patch.setattr(harness, "_usable_cpus", lambda: 2)
+        patch.setattr(formats, "_WALK_BYTES", 0)
+        patch.setattr(formats, "_SPLIT_CHARS", 0)
+        patch.setattr(workers, "_usable_cpus", lambda: 2)
         yield
 
 
@@ -308,7 +309,7 @@ def test_read_peak_memory_stays_near_the_file_size(tmp_path, monkeypatch):
     at a time peaks at about 0.99x. Serial path."""
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
-    monkeypatch.setattr(harness, "_SPLIT_CHARS", path.stat().st_size + 1)
+    monkeypatch.setattr(formats, "_SPLIT_CHARS", path.stat().st_size + 1)
     _assert_read_peak_near_the_file_size(path)
 
 
@@ -330,7 +331,7 @@ def test_release_gives_back_whole_pages_only():
     page = mmap.PAGESIZE
     with mmap.mmap(-1, 4 * page, flags=mmap.MAP_PRIVATE) as buf:
         buf[:] = b"x" * (4 * page)
-        harness._release(buf, page // 2, 3 * page + 1)
+        formats._release(buf, page // 2, 3 * page + 1)
         assert buf[:page] == b"x" * page  # shared with bytes outside the range
         assert buf[page:3 * page] == bytes(2 * page)  # given back: reads as zeros
         assert buf[3 * page:] == b"x" * page
@@ -350,14 +351,14 @@ def test_each_matrix_is_released_when_no_process_needs_it(tmp_path, monkeypatch,
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=60, n=40, k=50, seed=3), path)
     spans = _matrix_spans(path, NAMED["instance"])
-    parent, released, release = os.getpid(), [], harness._release
+    parent, released, release = os.getpid(), [], formats._release
 
     def recording(buf, start, end):
         if os.getpid() == parent and (start, end) in spans:
             released.append(spans.index((start, end)))
         release(buf, start, end)
 
-    monkeypatch.setattr(harness, "_release", recording)
+    monkeypatch.setattr(formats, "_release", recording)
     with forced():
         _, loaded = read_instance(path)
     assert canonical(loaded) == canonical(expected_document(path, "instance"))
@@ -423,12 +424,12 @@ def test_buffer_is_anonymous_and_closed_on_every_path(tmp_path, monkeypatch, for
     good = tmp_path / "inst.json"
     write_instance(gen_instance(m=20, n=10, k=12, seed=4), good)
     bad = write(tmp_path, good.read_text().replace("]", "}", 30))
-    parsed_array = harness._parsed_array
+    parsed_array = formats._parsed_array
 
     @contextlib.contextmanager
     def child_fails():
         with split_forced(), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "_parsed_array", lambda *args: (
+            patch.setattr(formats, "_parsed_array", lambda *args: (
                 parsed_array(*args) if os.getpid() == parent else os._exit(1)))
             yield
 
@@ -476,11 +477,11 @@ def test_split_adopts_the_childs_arrays_without_a_copy(tmp_path, forks):
 def test_small_file_or_unsafe_to_fork_stays_serial(tmp_path, monkeypatch, forks):
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=6, n=3, k=4, seed=5), path)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "_SPLIT_CHARS", path.stat().st_size + 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(formats, "_SPLIT_CHARS", path.stat().st_size + 1)
     read_instance(path)
-    monkeypatch.setattr(harness, "_SPLIT_CHARS", 0)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(formats, "_SPLIT_CHARS", 0)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
     read_instance(path)
     assert forks == []
 
@@ -537,7 +538,7 @@ def _open_fds():
 )
 def test_failed_child_falls_back_to_the_serial_result(tmp_path, monkeypatch, forks, how):
     parent = os.getpid()
-    parsed_array = harness._parsed_array
+    parsed_array = formats._parsed_array
     calls = []
 
     def failing(buf, start, stop):
@@ -557,7 +558,7 @@ def test_failed_child_falls_back_to_the_serial_result(tmp_path, monkeypatch, for
             return array, end - 1
         return array, end
 
-    monkeypatch.setattr(harness, "_parsed_array", failing)
+    monkeypatch.setattr(formats, "_parsed_array", failing)
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=6, n=3, k=4, seed=5), path)
     fds = _open_fds()

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cmop.harness as harness
+import cmop.formats as formats
+import cmop.workers as workers
 from cmop import gen_instance, write_instance, write_solution
 
 SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, float("inf"), float("-inf"),
@@ -32,8 +33,8 @@ DOCUMENTS = st.dictionaries(st.text(max_size=6), st.one_of(SCALARS, MATRICES), m
 @pytest.fixture
 def split_everything(monkeypatch):
     """Every document with two or more matrices takes the two-CPU path."""
-    monkeypatch.setattr(harness, "_SPLIT_NUMBERS", 1)
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(formats, "_SPLIT_NUMBERS", 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
 
 
 def _reference(doc) -> bytes:
@@ -65,8 +66,8 @@ def test_documents_of_scalars_and_matrices(tmp_dir, doc):
 @given(st.dictionaries(st.sampled_from(["a", "b", "c", "d"]), MATRICES, min_size=2))
 def test_split_documents(tmp_dir, doc):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "_SPLIT_NUMBERS", 1)
-        patch.setattr(harness, "_usable_cpus", lambda: 2)
+        patch.setattr(formats, "_SPLIT_NUMBERS", 1)
+        patch.setattr(workers, "_usable_cpus", lambda: 2)
         assert _written(doc, tmp_dir) == _reference(doc)
 
 
@@ -138,13 +139,13 @@ def test_two_cpu_path_writes_the_same_bytes(tmp_path, split_everything, forks):
 
 
 def test_below_the_constant_or_unsafe_to_fork_stays_serial(tmp_path, monkeypatch, forks):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(harness, "_SPLIT_NUMBERS", 2 * 3 * 4 + 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(formats, "_SPLIT_NUMBERS", 2 * 3 * 4 + 1)
     w = np.ones((3, 4), dtype=complex)
     write_solution(w, tmp_path / "w.json")  # 24 numbers
-    monkeypatch.setattr(harness, "_SPLIT_NUMBERS", 1)
+    monkeypatch.setattr(formats, "_SPLIT_NUMBERS", 1)
     write_instance({"w": [[1.0, 2.0]]}, tmp_path / "one.json")  # one matrix: nothing to split
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
     write_solution(w, tmp_path / "w1.json")
     assert forks == []
     assert (tmp_path / "w1.json").read_bytes() == (tmp_path / "w.json").read_bytes()
@@ -158,7 +159,7 @@ def _open_fds():
 def test_failed_child_falls_back_to_the_serial_bytes(tmp_path, monkeypatch, split_everything,
                                                      forks, how):
     parent = os.getpid()
-    matrix_text = harness._matrix_text
+    matrix_text = formats._matrix_text
 
     def failing(matrix):
         if os.getpid() != parent:
@@ -169,7 +170,7 @@ def test_failed_child_falls_back_to_the_serial_bytes(tmp_path, monkeypatch, spli
             return 7
         return matrix_text(matrix)
 
-    monkeypatch.setattr(harness, "_matrix_text", failing)
+    monkeypatch.setattr(formats, "_matrix_text", failing)
     doc = gen_instance(m=6, n=3, k=4, seed=11)
     fds = _open_fds()
     affinity = os.sched_getaffinity(0)

@@ -20,12 +20,12 @@ N x 256 (2 x N x 256 numbers): the median of ``read_solution`` on each
 path, read in turn over ``CROSSOVER_ROUNDS`` rounds, and their ratio.
 
 * ``read_split``: the matrices parsed on two CPUs against the serial walk
-  of the file's buffer (``harness._SPLIT_CHARS`` set to 0 and to infinity,
-  ``harness._WALK_BYTES`` to 0). ``harness._SPLIT_CHARS`` is set where the
+  of the file's buffer (``formats._SPLIT_CHARS`` set to 0 and to infinity,
+  ``formats._WALK_BYTES`` to 0). ``formats._SPLIT_CHARS`` is set where the
   split wins every run.
 * ``read_walk``: the serial walk against ``json.loads`` of the whole file
-  (``harness._WALK_BYTES`` set to 0 and to infinity, no split). The walk
-  saves memory, not time, so ``harness._WALK_BYTES`` keeps small files,
+  (``formats._WALK_BYTES`` set to 0 and to infinity, no split). The walk
+  saves memory, not time, so ``formats._WALK_BYTES`` keeps small files,
   where that saving is small and the walk slower, on ``json.loads``.
 
 The memory of each call is the rise of the peak resident set size across
@@ -61,7 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-import cmop.harness as harness  # noqa: E402
+import cmop.formats as formats  # noqa: E402
 from cmop import (  # noqa: E402
     gen_instance,
     read_instance,
@@ -78,7 +78,7 @@ SMALL_SIZES = {"paper": (10, 5, 8, 1), "large": (40, 20, 16, 1)}
 CROSSOVER_ROWS = (5, 10, 20, 40, 60, 80, 120, 160, 200, 300, 400)
 CROSSOVER_ROUNDS = 61
 SMALL_CROSSOVER_ROWS, SMALL_CROSSOVER_ROUNDS = (2,), 1
-# name: the harness settings of its two read paths, the one timed first.
+# name: the cmop.formats settings of its two read paths, the one timed first.
 CROSSOVERS = {
     "read_split": {
         "split": {"_WALK_BYTES": 0, "_SPLIT_CHARS": 0},
@@ -165,10 +165,10 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
 
 def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
     """The median seconds of ``read_solution`` on each of two read paths
-    (``paths``: name to harness settings), and their ratio, first over
+    (``paths``: name to :mod:`cmop.formats` settings), and their ratio, first over
     second, for solution files of N x 256 for each N in ``rows``."""
     rng = np.random.default_rng(2)
-    saved = {name: getattr(harness, name, None) for setting in paths.values() for name in setting}
+    saved = {name: getattr(formats, name, None) for setting in paths.values() for name in setting}
     (first, second), out = paths, {}
     for n in rows:
         w = rng.standard_normal((n, 256)) + 1j * rng.standard_normal((n, 256))
@@ -177,7 +177,7 @@ def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
 
         def read(setting, path=path):
             for name, value in setting.items():
-                setattr(harness, name, value)
+                setattr(formats, name, value)
             read_solution(path)
 
         try:
@@ -185,7 +185,7 @@ def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
                                 rounds)
         finally:
             for name, value in saved.items():
-                setattr(harness, name, value)
+                setattr(formats, name, value)
         out[str(2 * n * 256)] = {
             "bytes": path.stat().st_size,
             f"{first}_s": round(seconds[first], 6),
