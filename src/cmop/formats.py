@@ -253,23 +253,6 @@ def _converted(value):
         return value
 
 
-def _converting(buf, arrays):
-    """The ``parse_value`` of a serial walk. A member named in ``arrays``
-    that opens with '[' is decoded from its text up to the byte after where
-    :func:`_matrix_end` predicts it ends, and becomes a float64 array if it
-    converts (a value that does not stays as parsed); every other member is
-    decoded from a small window. The member's pages are released once it is
-    parsed, so the read holds the text of one matrix at a time."""
-
-    def parse_value(key: str, pos: int):
-        end = _matrix_end(buf, pos) if key in arrays and buf[pos:pos + 1] == b"[" else -1
-        value, end = _value(buf, pos, end + 1 if end > 0 else pos + _WINDOW)
-        _release(buf, pos, end)
-        return (_converted(value) if key in arrays else value), end
-
-    return parse_value
-
-
 def _parsed_array(buf, start: int, end: int):
     """The JSON value at ``start``, predicted to end at ``end`` and decoded
     by :func:`_value`, as a float64 array, and the offset past it. Its lists
@@ -278,29 +261,35 @@ def _parsed_array(buf, start: int, end: int):
     return np.asarray(value, dtype=np.float64), stop
 
 
-def _split_walk(buf, arrays) -> dict | None:
-    """:func:`_walk_object`'s result with the matrices parsed on two CPUs,
-    or None if the split does not apply or fails in any way.
+def _split_walk(buf, arrays, processes: int) -> dict | None:
+    """:func:`_walk_object`'s result with the matrices parsed by one or
+    two ``processes``, or None if the walk cannot take the file or fails in
+    any way.
 
     The walk decodes keys and scalars but only predicts where each member
-    named in ``arrays`` that opens with '[' ends (:func:`_matrix_end`).
-    With two such members or more, a forked child parses every other one
-    from the buffer it inherits (see :func:`workers._run_groups`) into an anonymous
-    shared mmap and sends back its shape and end, while this process
-    parses the rest. Each process first releases the pages of the other's
-    matrices, then those of each of its own once it is parsed. The result
-    stands only if every one of them converts and ends where predicted;
-    the child's arrays are then views of the shared map, adopted without a
-    copy. Duplicate keys, a 3-D or ragged array or a string holding ']]'
-    all return None."""
-    parse, keys, members = _converting(buf, arrays), set(), []  # members: (key, start, end)
+    named in ``arrays`` that opens with '[' ends (:func:`_matrix_end`); a
+    member named in ``arrays`` that does not becomes a float64 array if it
+    converts. The matrices are then parsed through
+    :func:`workers._run_groups`: this process parses the first group, and
+    with two processes and two matrices or more, a forked child parses
+    every other matrix from the buffer it inherits into an anonymous shared
+    mmap and sends back its shape and end. Each process first releases the
+    pages of the other's matrices, then those of each of its own once it is
+    parsed, so it holds the text of one matrix at a time. The result stands
+    only if every matrix converts and ends where predicted; the child's
+    arrays are then views of the shared map, adopted without a copy.
+    Duplicate keys, a 3-D or ragged array or a string holding ']]' all
+    return None."""
+    keys, members = set(), []  # members: (key, start, end)
 
     def predict(key: str, pos: int):
         if key in keys:
             raise ValueError("duplicate key")  # json.loads keeps the first key's position
         keys.add(key)
         if key not in arrays or buf[pos:pos + 1] != b"[":
-            return parse(key, pos)
+            value, end = _value(buf, pos, pos + _WINDOW)
+            _release(buf, pos, end)
+            return (_converted(value) if key in arrays else value), end
         end = _matrix_end(buf, pos)
         if end < 0:
             raise ValueError("no matrix end")
@@ -308,16 +297,18 @@ def _split_walk(buf, arrays) -> dict | None:
         return None, end
 
     doc = _walk_object(buf, predict)
-    if doc is None or len(members) < 2:
+    if doc is None:
         return None
-    groups = [list(range(0, len(members), 2)), list(range(1, len(members), 2))]
+    processes = min(processes, max(len(members), 1))
+    groups = [list(range(g, len(members), processes)) for g in range(processes)]
     # A matrix of L characters holds at most L / 2 numbers. Pages the child
     # does not write are never allocated.
     room, offsets, size = {}, {}, 0
-    for i in groups[1]:
-        room[i], offsets[i] = (members[i][2] - members[i][1]) // 2, size
-        size += 8 * room[i]
-    out = mmap.mmap(-1, size)
+    for group in groups[1:]:
+        for i in group:
+            room[i], offsets[i] = (members[i][2] - members[i][1]) // 2, size
+            size += 8 * room[i]
+    out = mmap.mmap(-1, size) if size else None
 
     def run_group(group: list[int]) -> list:
         for i, (_, start, end) in enumerate(members):
@@ -344,22 +335,22 @@ def _split_walk(buf, arrays) -> dict | None:
         )
 
     try:
-        mine, theirs = workers._run_groups(groups, run_group, valid)
-    except Exception:  # a failed split only costs time: the caller decodes the file whole
+        results = workers._run_groups(groups, run_group, valid)
+    except Exception:  # a failed walk only costs time: the caller decodes the file whole
         return None
-    if any(end != members[i][2] for (_, end), i in zip(mine, groups[0])):
+    if any(end != members[i][2] for (_, end), i in zip(results[0], groups[0])):
         return None
-    for (array, _), i in zip(mine, groups[0]):
-        doc[members[i][0]] = array
-    for (shape, _), i in zip(theirs, groups[1]):
-        view = np.frombuffer(out, np.float64, math.prod(shape), offsets[i])
-        doc[members[i][0]] = view.reshape(shape)
+    for result, group in zip(results, groups):
+        for (array, _), i in zip(result, group):
+            if i in offsets:  # a shape sent by the child: its numbers are in the map
+                array = np.frombuffer(out, np.float64, math.prod(array), offsets[i]).reshape(array)
+            doc[members[i][0]] = array
     return doc
 
 
 # A file of at least this many bytes has its matrices parsed on two CPUs
 # (see _split_walk). Reading two N x 256 solution matrices (about 23.7 bytes
-# a number) on a shared 2-vCPU x86-64 VM, split against the serial walk by
+# a number) on a shared 2-vCPU x86-64 VM, split against the one-process walk by
 # the median of 61 interleaved reads, over 5 to 17 runs a size: 1.15-5.7x
 # as long up to 0.24 MB; at 0.48, 0.73, 0.97 and 1.45 MB it lost 6 of 7,
 # 2 of 12, 1 of 12 and 2 of 17 runs (up to 1.51x), and won 5 of 5 at
@@ -377,16 +368,15 @@ _WALK_BYTES = 2**20
 def _walked(file, size: int, arrays) -> dict | None:
     """The walk of the open ``file`` of ``size`` bytes, read into an
     anonymous private mmap (never a map of the file, which another process
-    could shrink under the walk): :func:`_split_walk` where it applies,
-    else the serial walk. None if the file no longer holds ``size`` bytes
-    or the walk cannot take it."""
+    could shrink under the walk): :func:`_split_walk` on two processes when
+    the file has at least ``_SPLIT_CHARS`` bytes and
+    :func:`workers._can_fork`, else on this one alone. None if the file no
+    longer holds ``size`` bytes or the walk cannot take it."""
     flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # populate: fewer faults
     with mmap.mmap(-1, size, flags=flags) as buf:
         if file.readinto(buf) != size or file.read(1):
             return None
-        if size >= _SPLIT_CHARS and workers._can_fork():
-            return _split_walk(buf, arrays)
-        return _walk_object(buf, _converting(buf, arrays))
+        return _split_walk(buf, arrays, 2 if size >= _SPLIT_CHARS and workers._can_fork() else 1)
 
 
 def _read_json_object(path, kind: str) -> dict:
