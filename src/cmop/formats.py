@@ -489,13 +489,32 @@ def _is_matrix(value) -> bool:
     return types == {float}
 
 
+# Numbers per block of rows that a matrix's text is encoded in. json's C
+# encoder holds one str per number until it joins them, about 5x the text it
+# returns, so a matrix encoded whole peaked at about 5x its text; a block of
+# 2^14 numbers is about 0.4 MB of text.
+_BLOCK_NUMBERS = 2**14
+
+
+def _matrix_pieces(matrix: list):
+    """:func:`_matrix_text` of ``matrix`` in pieces, each made when it is
+    asked for: the compact C encoding of blocks of rows of about
+    ``_BLOCK_NUMBERS`` numbers, widened as the whole text is and joined by
+    the row break that ``],[`` widens to."""
+    rows = max(1, _BLOCK_NUMBERS // len(matrix[0]))
+    yield "[\n  [\n   "
+    for start in range(0, len(matrix), rows):
+        text = _COMPACT.encode(matrix[start:start + rows])[2:-2]
+        text = text.replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
+        yield "\n  ],\n  [\n   " + text if start else text
+    yield "\n  ]\n ]"
+
+
 def _matrix_text(matrix: list) -> str:
     """A matrix as ``json.dumps(..., indent=1)`` lays it out as a member of
     a top-level object: the compact C encoding with every item break and
     then every row break widened. Numbers hold no ',' or ']'."""
-    text = _COMPACT.encode(matrix)[2:-2]
-    text = text.replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
-    return "[\n  [\n   " + text + "\n  ]\n ]"
+    return "".join(_matrix_pieces(matrix))
 
 
 def _layout(doc) -> tuple[list[str], list[list], str]:
@@ -525,15 +544,16 @@ def _layout(doc) -> tuple[list[str], list[list], str]:
 
 def _write_json(doc, path) -> None:
     """Write the bytes of ``json.dumps(doc, indent=1) + "\\n"`` to ``path``,
-    one matrix at a time. All but the matrices is encoded first (see
-    :func:`_layout`), so a document that cannot be encoded raises before
-    the file is opened; each matrix's text is then written as
+    one piece of a matrix at a time. All but the matrices is encoded first
+    (see :func:`_layout`), so a document that cannot be encoded raises
+    before the file is opened; each piece of text is then written as
     :func:`_matrix_texts` hands it out, and dropped."""
     heads, matrices, tail = _layout(doc)
     with open(path, "wb") as file:
-        for head, text in zip(heads, _matrix_texts(matrices)):
+        for head, pieces in zip(heads, _matrix_texts(matrices)):
             file.write(head.encode("ascii"))
-            file.write(text.encode("ascii"))
+            for piece in pieces:
+                file.write(piece.encode("ascii"))
         file.write(tail.encode("ascii"))
 
 
@@ -548,10 +568,11 @@ _SPLIT_NUMBERS = 2**16
 
 
 def _matrix_texts(matrices: list[list]):
-    """:func:`_matrix_text` of every matrix, in order, each made when it is
-    asked for. With at least ``_SPLIT_NUMBERS`` numbers in all, two or more
-    matrices and :func:`workers._can_fork`, a forked child encodes every other
-    matrix while this process encodes the rest, and the texts are then
+    """The text of every matrix, in order, as an iterable of pieces made
+    when they are asked for (:func:`_matrix_pieces`). With at least
+    ``_SPLIT_NUMBERS`` numbers in all, two or more matrices and
+    :func:`workers._can_fork`, a forked child encodes every other matrix
+    while this process encodes the rest, and the whole texts are then
     handed out one at a time; if that fails in any way, this process
     encodes them all, so the text never depends on the split."""
     if (
@@ -578,12 +599,10 @@ def _matrix_texts(matrices: list[list]):
             texts = dict(zip(groups[0] + groups[1], results[0] + results[1]))
             del results
             for i in range(len(matrices)):
-                yield texts.pop(i)
+                yield (texts.pop(i),)
             return
     for matrix in matrices:
-        yield _matrix_text(matrix)
-
-
+        yield _matrix_pieces(matrix)
 
 
 def solution_parts(path) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,8 @@
-"""Instance generation, file round trips, experiment orchestration, and
-the command-line surface with its exit-status contract."""
+"""Instance generation, file round trips, experiment orchestration, the
+names it calls through ``cmop.harness``, and the command-line surface with
+its exit-status contract."""
 
+import collections
 import json
 
 import numpy as np
@@ -20,6 +22,8 @@ from cmop import (
     write_instance,
     write_solution,
 )
+import cmop.harness as harness
+import cmop.workers as workers
 from cmop.cli import EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
 from cmop.errors import InputError
 from cmop.harness import METHODS, default_seed, iterations_to_threshold, parse_alpha_spec
@@ -597,3 +601,40 @@ class TestAlphaSpecParsing:
     def test_garbage(self):
         with pytest.raises(InputError):
             parse_alpha_spec("fast")
+
+
+# Names the orchestration calls through its own module, so that replacing
+# them on cmop.harness (as a tracer does) reaches every call.
+BOUND_IN_HARNESS = (
+    "read_instance", "read_solution", "write_solution", "write_trace", "precompute",
+    "gd_solve", "pgd_solve", "real_augmented_pgd", "active_set_oracle",
+)
+
+
+def test_orchestration_calls_through_the_harness_bindings(tmp_path, instance_path, monkeypatch):
+    calls = collections.Counter()
+    for name in BOUND_IN_HARNESS + ("cmatrix",):
+        def recorder(*args, real=getattr(harness, name), name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recorder)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)  # every sweep step in this process
+    inst, w = str(instance_path), str(tmp_path / "w.json")
+    options = ["--alpha", "f0.9", "--tau", "1e-14"]
+    ops = [
+        ["solve", inst, "--method", "gd", *options, "--trace", str(tmp_path / "t.csv"), "-o", w],
+        ["check", inst, "--w-source", "pgd", "--monitors", "thm3,kkt", *options],
+        ["check", inst, "--w-source", "file", "--monitors", "kkt", "--w-file", w],
+        ["sweep", inst, "--method", "real-augmented", "--alphas", "f0.5,f0.9",
+         "--out-dir", str(tmp_path / "sweep")],
+    ]
+    assert [main(op) for op in ops] == [EXIT_OK] * 4
+    assert calls == {  # every op reads and precomputes its instance; two sweep traces
+        "read_instance": 4, "precompute": 4, "read_solution": 1, "cmatrix": 1,
+        "write_solution": 1, "write_trace": 3, "gd_solve": 1, "pgd_solve": 1,
+        "active_set_oracle": 1, "real_augmented_pgd": 2,
+    }
+    calls.clear()
+    harness.read_solution(w)
+    assert calls == {"read_solution": 1, "cmatrix": 1}

@@ -1,12 +1,14 @@
 """The JSON writer behind ``write_instance`` and ``write_solution``: the
 bytes are ``json.dumps(doc, indent=1) + "\\n"`` on the C-encoded path, on
-its two-CPU split and on every document the fast path hands back to
-``json.dumps``; a failed split falls back to the same bytes and leaves no
-process behind; a document that cannot be encoded leaves the file as it
-was."""
+its two-CPU split, in blocks of rows of any size and on every document the
+fast path hands back to ``json.dumps``; a failed split falls back to the
+same bytes and leaves no process behind; a document that cannot be encoded
+leaves the file as it was; this process encodes a matrix a block at a time,
+so its memory peak stays below the matrix's text."""
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ NUMBERS = st.one_of(
 SCALARS = st.one_of(NUMBERS, st.booleans(), st.none(), st.text(max_size=8),
                     st.sampled_from(["],[", '"],["', "a,b", "\n"]))
 MATRICES = st.lists(st.lists(NUMBERS, min_size=1, max_size=6), min_size=1, max_size=5)
+FLOAT_MATRICES = st.lists(st.lists(st.floats(), min_size=1, max_size=6), min_size=1, max_size=8)
 DOCUMENTS = st.dictionaries(st.text(max_size=6), st.one_of(SCALARS, MATRICES), max_size=8)
 
 
@@ -69,6 +72,35 @@ def test_split_documents(tmp_dir, doc):
         patch.setattr(formats, "_SPLIT_NUMBERS", 1)
         patch.setattr(workers, "_usable_cpus", lambda: 2)
         assert _written(doc, tmp_dir) == _reference(doc)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]), FLOAT_MATRICES, min_size=1),
+       st.integers(1, 13))
+def test_blocks_of_rows_write_the_same_bytes(tmp_dir, doc, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_BLOCK_NUMBERS", block)
+        patch.setattr(workers, "_can_fork", lambda: False)
+        assert _written(doc, tmp_dir) == _reference(doc)
+
+
+def test_write_peak_is_bounded_by_a_block(tmp_path, monkeypatch):
+    """json's C encoder holds one str per number until it joins them: a
+    1000 x 256 matrix encoded whole peaked at about 3x its text. Encoded
+    and written a block of rows at a time, it peaks at about 0.4x."""
+    matrix = np.random.default_rng(0).standard_normal((1000, 256)).tolist()
+    doc = {"w": matrix}
+    text = len(json.dumps(matrix, indent=1))
+    monkeypatch.setattr(workers, "_can_fork", lambda: False)
+    path = tmp_path / "w.json"
+    tracemalloc.start()
+    try:
+        formats._write_json(doc, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * text, f"peak {peak / text:.2f}x the matrix's text"
+    assert path.read_bytes() == _reference(doc)
 
 
 HANDED_BACK = {
