@@ -29,7 +29,7 @@ from .errors import (
     ConfigError,
     InputError,
 )
-from .formats import (  # gen_instance and write_instance stay importable from here
+from .formats import (  # gen_instance, write_instance: not called here, imported from here
     _write_lines,
     default_seed,
     gen_instance,  # noqa: F401

@@ -3,17 +3,22 @@
 Usage, from the root of a source checkout (it imports cmop from ``src``)::
 
     python3 tools/cli_digest.py > digest.txt
+    python3 tools/cli_digest.py --against digest.txt   # exit 1 on any change
 
 The script generates fixed-seed instances in a temporary directory, runs
 ``solve``, ``sweep`` and ``check`` on them in-process through
 ``cmop.cli.main``, and prints one ``sha256  relative-path`` line per output
 file and per command's captured stdout/stderr and exit status. Two
 checkouts that should behave identically must print identical digests:
-diff the output of this script run on each.
+diff the output of this script run on each, or save one and pass it to the
+other as ``--against``, which prints only the lines that differ (``-`` for
+a saved line this run does not print, ``+`` for a new one, in path order)
+and exits 1 if there are any.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -126,7 +131,8 @@ def _run(name: str, argv: list[str]) -> bytes:
     return f"{name}\nexit={status}\n--stdout\n{out.getvalue()}--stderr\n{err.getvalue()}".encode()
 
 
-def main_digest() -> None:
+def digest_lines() -> list[str]:
+    """The digest: one ``sha256  path`` line per output, in path order."""
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -145,8 +151,37 @@ def main_digest() -> None:
                     lines.append(f"{digest}  {path.as_posix()}")
         finally:
             os.chdir(cwd)
-    print("\n".join(sorted(lines, key=lambda line: line.split("  ", 1)[1])))
+    return sorted(lines, key=_path)
+
+
+def _path(line: str) -> str:
+    return line.split("  ", 1)[-1]
+
+
+def differing_lines(saved: list[str], current: list[str]) -> list[str]:
+    """``- line`` for each saved line that ``current`` lacks and ``+ line``
+    for each line of ``current`` that ``saved`` lacks, in path order, the
+    saved line first."""
+    old, new = set(saved), set(current)
+    changed = [(_path(line), 0, f"- {line}") for line in old - new]
+    changed += [(_path(line), 1, f"+ {line}") for line in new - old]
+    return [line for *_, line in sorted(changed)]
+
+
+def main_digest(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, metavar="OLD.txt",
+                        help="print only the lines that differ from this saved digest")
+    args = parser.parse_args(argv)
+    lines = digest_lines()
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    changed = differing_lines(args.against.read_text().splitlines(), lines)
+    if changed:
+        print("\n".join(changed))
+    return 1 if changed else 0
 
 
 if __name__ == "__main__":
-    main_digest()
+    sys.exit(main_digest())

@@ -15,18 +15,24 @@ rounds. Two regimes:
 * ``paper`` (10 x 5 x 8): a file of a few kB, where per-call overhead rules.
 * ``large`` (1000 x 200 x 256): a 20.8 MB instance, where the parse rules.
 
-It then measures where two read paths cross, for solution files of
-N x 256 (2 x N x 256 numbers): the median of ``read_solution`` on each
-path, read in turn over ``CROSSOVER_ROUNDS`` rounds, and their ratio.
+It then compares the three read paths, each read in turn over a number of
+rounds:
 
-* ``read_split``: the matrices parsed on two CPUs against the serial walk
-  of the file's buffer (``formats._SPLIT_CHARS`` set to 0 and to infinity,
-  ``formats._WALK_BYTES`` to 0). ``formats._SPLIT_CHARS`` is set where the
-  split wins every run.
-* ``read_walk``: the serial walk against ``json.loads`` of the whole file
-  (``formats._WALK_BYTES`` set to 0 and to infinity, no split). The walk
-  saves memory, not time, so ``formats._WALK_BYTES`` keeps small files,
-  where that saving is small and the walk slower, on ``json.loads``.
+* ``split``: the matrices parsed on two CPUs, this process and a forked
+  child (``formats._WALK_BYTES`` and ``formats._SPLIT_CHARS`` set to 0);
+* ``walk`` (``serial`` in ``read_split``): the same walk of the file's
+  buffer in this process alone (``formats._SPLIT_CHARS`` set to infinity);
+* ``loads``: ``json.loads`` of the whole file (both set to infinity).
+
+For solution files of N x 256 (2 x N x 256 numbers), 0.97 to 2.42 MB, it
+records the median of ``read_solution`` on two paths over
+``CROSSOVER_ROUNDS`` rounds and their ratio: ``read_split`` (split over
+the walk in one process) and ``read_walk`` (that walk over ``loads``).
+``formats._SPLIT_CHARS`` is set where the split wins every run. The walk
+saves memory, not time, so ``formats._WALK_BYTES`` keeps small files, where
+that saving is small and the walk slower, on ``json.loads``.
+``read_large`` is the median of ``read_instance`` of the ``large`` instance
+on all three paths, over that size's rounds.
 
 The memory of each call is the rise of the peak resident set size across
 it, in a fresh child process that has already imported cmop and, for a
@@ -74,20 +80,20 @@ from run import child_env, machine_record  # noqa: E402  (perfbench's helpers)
 # name: (M, N, K, rounds)
 SIZES = {"paper": (10, 5, 8, 51), "large": (1000, 200, 256, 7)}
 SMALL_SIZES = {"paper": (10, 5, 8, 1), "large": (40, 20, 16, 1)}
-# Solution rows N of the crossovers, and their rounds.
-CROSSOVER_ROWS = (5, 10, 20, 40, 60, 80, 120, 160, 200, 300, 400)
+# Solution rows N of the crossovers (0.97 to 2.42 MB), and their rounds.
+CROSSOVER_ROWS = (80, 100, 120, 140, 160, 180, 200)
 CROSSOVER_ROUNDS = 61
 SMALL_CROSSOVER_ROWS, SMALL_CROSSOVER_ROUNDS = (2,), 1
-# name: the cmop.formats settings of its two read paths, the one timed first.
+# The cmop.formats settings of each read path.
+READ_PATHS = {
+    "split": {"_WALK_BYTES": 0, "_SPLIT_CHARS": 0},
+    "walk": {"_WALK_BYTES": 0, "_SPLIT_CHARS": float("inf")},
+    "loads": {"_WALK_BYTES": float("inf"), "_SPLIT_CHARS": float("inf")},
+}
+# name: its two read paths, the one timed first.
 CROSSOVERS = {
-    "read_split": {
-        "split": {"_WALK_BYTES": 0, "_SPLIT_CHARS": 0},
-        "serial": {"_WALK_BYTES": 0, "_SPLIT_CHARS": float("inf")},
-    },
-    "read_walk": {
-        "walk": {"_WALK_BYTES": 0, "_SPLIT_CHARS": float("inf")},
-        "loads": {"_WALK_BYTES": float("inf"), "_SPLIT_CHARS": float("inf")},
-    },
+    "read_split": {"split": READ_PATHS["split"], "serial": READ_PATHS["walk"]},
+    "read_walk": {"walk": READ_PATHS["walk"], "loads": READ_PATHS["loads"]},
 }
 
 # Run in a child: import cmop, unpickle what a write writes, then report the
@@ -163,37 +169,53 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
     }
 
 
+def _paths_median_s(paths: dict, read, path: Path, rounds: int) -> dict:
+    """The median seconds of ``read(path)`` on each read path (``paths``:
+    name to :mod:`cmop.formats` settings), read in turn; the settings are
+    restored after."""
+    saved = {name: getattr(formats, name) for setting in paths.values() for name in setting}
+
+    def on(setting):
+        for name, value in setting.items():
+            setattr(formats, name, value)
+        read(path)
+
+    try:
+        return _median_s({name: lambda s=setting: on(s) for name, setting in paths.items()},
+                         rounds)
+    finally:
+        for name, value in saved.items():
+            setattr(formats, name, value)
+
+
 def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
     """The median seconds of ``read_solution`` on each of two read paths
-    (``paths``: name to :mod:`cmop.formats` settings), and their ratio, first over
-    second, for solution files of N x 256 for each N in ``rows``."""
+    and their ratio, first over second, for solution files of N x 256 for
+    each N in ``rows``."""
     rng = np.random.default_rng(2)
-    saved = {name: getattr(formats, name, None) for setting in paths.values() for name in setting}
     (first, second), out = paths, {}
     for n in rows:
         w = rng.standard_normal((n, 256)) + 1j * rng.standard_normal((n, 256))
         path = tmp / f"crossover-{n}.json"
         write_solution(w, path)
-
-        def read(setting, path=path):
-            for name, value in setting.items():
-                setattr(formats, name, value)
-            read_solution(path)
-
-        try:
-            seconds = _median_s({name: lambda s=setting: read(s) for name, setting in paths.items()},
-                                rounds)
-        finally:
-            for name, value in saved.items():
-                setattr(formats, name, value)
+        seconds = _paths_median_s(paths, read_solution, path, rounds)
         out[str(2 * n * 256)] = {
             "bytes": path.stat().st_size,
             f"{first}_s": round(seconds[first], 6),
             f"{second}_s": round(seconds[second], 6),
             "ratio": round(seconds[first] / seconds[second], 3),
         }
-    return {"rounds": rounds, **{name.lower().lstrip("_"): value for name, value in saved.items()},
-            "numbers": out}
+    return {"rounds": rounds, "split_chars": formats._SPLIT_CHARS,
+            "walk_bytes": formats._WALK_BYTES, "numbers": out}
+
+
+def large_reads(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
+    """The median seconds of ``read_instance`` of the M x N x K instance of
+    :func:`run_size` on every read path."""
+    path = tmp / f"inst-{m}x{n}x{k}.json"
+    seconds = _paths_median_s(READ_PATHS, read_instance, path, rounds)
+    return {"bytes": path.stat().st_size, "rounds": rounds,
+            **{f"{name}_s": round(s, 6) for name, s in seconds.items()}}
 
 
 def main(argv=None) -> int:
@@ -215,6 +237,8 @@ def main(argv=None) -> int:
         for name, paths in CROSSOVERS.items():
             run[name] = crossover(paths, rows, rounds, Path(tmp))
             print(f"{name}: {json.dumps(run[name])}", file=sys.stderr)
+        run["read_large"] = large_reads(*sizes["large"], Path(tmp))
+        print(f"read_large: {json.dumps(run['read_large'])}", file=sys.stderr)
 
     runs = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs[args.label] = run
