@@ -48,12 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("instance", help="instance file")
     run.add_argument("--tau", type=float, default=SolverConfig.tau)
     run.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
-    run.add_argument(
-        "--radius-is-eta",
-        action="store_true",
-        help="treat eta itself as the projection radius instead of sqrt(eta) "
-        "(pseudocode-compatibility mode)",
-    )
 
     gen = sub.add_parser("gen", help="generate a random instance file")
     gen.add_argument("--m", type=int, default=10)
@@ -141,7 +135,6 @@ def main(argv=None) -> int:
                 max_iter=args.max_iter,
                 trace_path=args.trace,
                 out_path=args.output,
-                radius_is_eta=args.radius_is_eta,
                 time_iterations=args.time,
             )
             return EXIT_DIVERGED if result.stop_reason == STOP_DIVERGED else EXIT_OK
@@ -157,7 +150,6 @@ def main(argv=None) -> int:
                 tau=args.tau,
                 max_iter=args.max_iter,
                 seed=args.seed,
-                radius_is_eta=args.radius_is_eta,
                 w_path=args.w_file,
             )
             return EXIT_OK if passed else EXIT_CHECK_FAILED
@@ -171,7 +163,6 @@ def main(argv=None) -> int:
             tau=args.tau,
             max_iter=args.max_iter,
             out_dir=args.out_dir,
-            radius_is_eta=args.radius_is_eta,
         )
         return EXIT_OK
     except CmopError as exc:

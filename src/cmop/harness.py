@@ -124,7 +124,6 @@ def run_solver(
     pre: Precomputed,
     method: str,
     config: SolverConfig,
-    radius_is_eta: bool = False,
     w0=None,
 ) -> SolveResult:
     """Dispatch one solve. w0 defaults to the zero matrix (always feasible).
@@ -137,7 +136,7 @@ def run_solver(
     if method == "gd":
         return gd_solve(pre, instance, w0, config)
     if method in ("pgd", "real-augmented"):
-        ball = RowBall.for_power_budget(instance.eta, radius_is_eta)
+        ball = RowBall.for_power_budget(instance.eta)
         if method == "pgd":
             return pgd_solve(pre, instance, w0, ball, config)
         return real_augmented_pgd(pre, instance, w0, ball, config)
@@ -172,11 +171,11 @@ def _configure(
     return config, resolved
 
 
-def _run_quietly(instance, pre, method, config, radius_is_eta) -> SolveResult:
+def _run_quietly(instance, pre, method, config) -> SolveResult:
     """One solve, solver warnings silenced: callers report a bad step."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run_solver(instance, pre, method, config, radius_is_eta)
+        return run_solver(instance, pre, method, config)
 
 
 def _step_mode(method: str) -> str:
@@ -191,7 +190,6 @@ def run_experiment(
     max_iter: int = SolverConfig.max_iter,
     trace_path=None,
     out_path=None,
-    radius_is_eta: bool = False,
     time_iterations: bool = False,
 ) -> tuple[SolveResult, ExperimentSummary]:
     """Load an instance, run one solver, export the trace, print a summary."""
@@ -200,7 +198,7 @@ def run_experiment(
     config, resolved = _configure(
         pre, method, alpha_spec, tau=tau, max_iter=max_iter, time_iterations=time_iterations
     )
-    result = _run_quietly(instance, pre, method, config, radius_is_eta)
+    result = _run_quietly(instance, pre, method, config)
 
     in_interval = None
     if resolved is not None:
@@ -258,7 +256,6 @@ def run_check(
     tau: float = SolverConfig.tau,
     max_iter: int = SolverConfig.max_iter,
     seed: int | None = None,
-    radius_is_eta: bool = False,
     w_path=None,
 ) -> tuple[bool, list[str]]:
     """Run the requested certifiers and write their reports.
@@ -273,7 +270,7 @@ def run_check(
         seed = default_seed()
     instance, _ = read_instance(instance_path)
     pre = precompute(instance)
-    ball = RowBall.for_power_budget(instance.eta, radius_is_eta)
+    ball = RowBall.for_power_budget(instance.eta)
     if w_source == "file":
         parse_alpha_spec(alpha_spec)  # reject a malformed step even when no solve uses it
         if w_path is None:
@@ -284,7 +281,7 @@ def run_check(
             pre, w_source, alpha_spec,
             tau=tau, max_iter=max_iter, record_iterates="thm3" in monitors,
         )
-        result = _run_quietly(instance, pre, w_source, config, radius_is_eta)
+        result = _run_quietly(instance, pre, w_source, config)
         w = result.w_final
 
     reports: list = []
@@ -355,7 +352,6 @@ def run_sweep(
     tau: float = SolverConfig.tau,
     max_iter: int = SolverConfig.max_iter,
     out_dir=".",
-    radius_is_eta: bool = False,
 ) -> list[dict]:
     """Run one solve per step size, exporting a trace per run plus a
     combined summary table (alpha, iterations-to-threshold, final
@@ -396,7 +392,7 @@ def run_sweep(
 
     def run_group(indices: list[int]) -> list[dict]:
         for i in indices:
-            _sweep_step(instance, pre, method, *steps[i], radius_is_eta, out, rows[i])
+            _sweep_step(instance, pre, method, *steps[i], out, rows[i])
         return [rows[i] for i in indices]
 
     def valid(group_rows, indices) -> bool:
@@ -429,12 +425,12 @@ def _one_line(exc: Exception) -> str:
 
 
 def _sweep_step(
-    instance, pre, method, config, resolved, radius_is_eta, out: Path, row: dict
+    instance, pre, method, config, resolved, out: Path, row: dict
 ) -> None:
     """Solve one sweep step, write its trace and fill its summary row; a
     CmopError becomes the row's error."""
     try:
-        result = _run_quietly(instance, pre, method, config, radius_is_eta)
+        result = _run_quietly(instance, pre, method, config)
         write_trace(result.trace, out / f"trace_{row['index']}.csv")
     except CmopError as exc:
         row["error"] = _one_line(exc)

@@ -1,10 +1,10 @@
 """Euclidean projection onto the per-row norm ball and its certificates.
 
 The feasible set is {W : ||row_n(W)||_2 <= r for every n}. For the
-row-power-constrained problem with budget eta the correct radius is
-sqrt(eta); a compatibility mode treating eta itself as the radius is kept
-because published pseudocode for this projection sometimes compares row
-norms against eta directly.
+row-power-constrained problem with budget eta the radius is sqrt(eta).
+Published pseudocode that compares row norms against eta directly poses
+the problem whose budget is eta^2: an instance with ``eta`` set to eta^2
+gets the radius sqrt(eta^2), which is eta to the last bit.
 """
 
 from __future__ import annotations
@@ -37,16 +37,13 @@ class RowBall:
             )
 
     @classmethod
-    def for_power_budget(cls, eta: float, radius_is_eta: bool = False) -> "RowBall":
-        """Ball for the constraint 'squared row norm <= eta'.
-
-        The Euclidean radius is sqrt(eta). With ``radius_is_eta`` the raw
-        eta is used as the radius instead (pseudocode-compatibility mode).
-        """
+    def for_power_budget(cls, eta: float) -> "RowBall":
+        """Ball for the constraint 'squared row norm <= eta': the
+        Euclidean radius is sqrt(eta)."""
         eta = float(eta)
         if not (eta > 0.0 and math.isfinite(eta)):
             raise InputError(f"power budget eta must be positive, got {eta}")
-        return cls(eta if radius_is_eta else math.sqrt(eta))
+        return cls(math.sqrt(eta))
 
 
 def project_rows(w: ComplexMatrix, ball: RowBall) -> ComplexMatrix:

@@ -556,6 +556,32 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "singular" in err
 
+    def test_row_norm_cap_is_the_squared_budget(self, tmp_path, capsys):
+        # A row-norm cap of eta is posed by the instance whose budget is
+        # eta^2; every solver and certificate reads that one budget.
+        inst = tmp_path / "c0.cmop.json"
+        gen = ["gen", "--seed", "0", "--m", "16", "--n", "8", "--k", "8", "--eta", "0.01"]
+        assert main([*gen, "-o", str(inst)]) == EXIT_OK
+        doc = json.loads(inst.read_text())
+        doc["eta"] = doc["eta"] * doc["eta"]
+        write_instance(doc, inst)
+        capsys.readouterr()
+        run = ["--alpha", "f0.9", "--tau", "1e-14"]
+        objectives = {}
+        for method in ("pgd", "real-augmented", "oracle"):
+            assert main(["solve", str(inst), "--method", method, *run]) == EXIT_OK
+            out = capsys.readouterr().out
+            objectives[method] = float(out.split("objective=")[1].split()[0])
+        assert objectives["pgd"] == pytest.approx(objectives["oracle"], rel=1e-8)
+        assert objectives["real-augmented"] == pytest.approx(objectives["oracle"], rel=1e-8)
+        assert main([
+            "check", str(inst), "--w-source", "pgd", "--monitors", "kkt,thm3", *run,
+        ]) == EXIT_OK
+        with pytest.raises(SystemExit) as exited:
+            main(["solve", str(inst), "--method", "pgd", "--radius-is-eta"])
+        assert exited.value.code == 2
+        capsys.readouterr()
+
     def test_successive_mains_behave_like_fresh_ones(self, monkeypatch):
         # The parser is built once per process; no option may carry over
         # from one main() call to the next.
@@ -569,11 +595,12 @@ class TestCli:
 
         monkeypatch.setattr(cmop.cli, "run_check", run_check)
         base = ["check", "inst.json", "--monitors", "lemma4"]
-        assert main([*base, "--seed", "5", "--radius-is-eta"]) == EXIT_OK
+        assert main([*base, "--seed", "5", "--max-iter", "7"]) == EXIT_OK
         assert main(base) == EXIT_OK
-        assert (calls[0]["seed"], calls[0]["radius_is_eta"]) == (5, True)
-        assert (calls[1]["seed"], calls[1]["radius_is_eta"]) == (None, False)
-        assert calls[1] == dict(calls[0], seed=None, radius_is_eta=False)
+        default = SolverConfig.max_iter
+        assert (calls[0]["seed"], calls[0]["max_iter"]) == (5, 7)
+        assert (calls[1]["seed"], calls[1]["max_iter"]) == (None, default)
+        assert calls[1] == dict(calls[0], seed=None, max_iter=default)
         assert cmop.cli._build_parser() is cmop.cli._build_parser()
 
     def test_env_seed_override(self, tmp_path, monkeypatch):

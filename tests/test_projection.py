@@ -1,8 +1,12 @@
 """Row-ball projection: exactness, geometry properties, and the
 variational-inequality certificate."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cmop import (
     RowBall,
@@ -30,7 +34,15 @@ class TestRowBall:
 
     def test_power_budget_radius(self):
         assert RowBall.for_power_budget(2.0).radius == pytest.approx(np.sqrt(2.0))
-        assert RowBall.for_power_budget(2.0, radius_is_eta=True).radius == 2.0
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(st.floats(min_value=2.0**-511, max_value=2.0**512))
+    def test_squared_budget_has_radius_eta(self, eta):
+        # A row-norm cap of eta is the power budget eta^2, bit for bit:
+        # sqrt of the correctly rounded square of eta is eta again.
+        square = eta * eta
+        assume(sys.float_info.min <= square <= sys.float_info.max)
+        assert RowBall.for_power_budget(square).radius == eta
 
 
 class TestProjectRows:

@@ -76,10 +76,6 @@ def _commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
             "--tau", TAU, "--out-dir", f"{out}/sweep-{method}-mixed",
         ]))
     cmds += [
-        ("solve-pgd-radius-is-eta", [
-            "solve", inst, "--method", "pgd", "--alpha", "f0.5", "--radius-is-eta",
-            "--trace", f"{out}/pgd-rie.csv", "-o", f"{out}/pgd-rie.json",
-        ]),
         ("solve-gd-diverges", [
             "solve", inst, "--method", "gd", "--alpha", "1e6",
             "--trace", f"{out}/gd-diverges.csv",
