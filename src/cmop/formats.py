@@ -25,18 +25,18 @@ by a forked child, pinned to a second CPU, when forking is safe (see
 :func:`workers._can_fork`); a child that fails leaves this process to encode
 everything, and the bytes never depend on the split.
 
-The reader decodes a file of fewer than ``_WALK_BYTES`` bytes whole for
+The reader decodes a file of fewer than ``_SPLIT_CHARS`` bytes whole for
 ``json.loads``. It reads a larger one into an anonymous private mmap, off
 the malloc heap (a map of the file would let another process that shrinks
 it kill this one with SIGBUS), and walks it one member at a time: each
 array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``, ``w_im`` in
 solution files) is decoded on its own, turned into a float64 array and its
-pages released, so a read holds one matrix's text at a time. A file of at
-least ``_SPLIT_CHARS`` bytes with two or more matrices has every other
-matrix parsed by a forked child, under the same rule (see
-:func:`_split_walk`). A document the walk cannot take, a child that fails
-or a file whose size changes while it is read is decoded whole for
-``json.loads``. What the reader returns, and every error it raises, is
+pages released, so a read holds one matrix's text at a time. When forking
+is safe, a forked child parses every other matrix (see
+:func:`_split_walk`); when it is not, this process walks the file alone,
+which keeps the read as lean on memory. A document the walk cannot take, a
+child that fails or a file whose size changes while it is read is decoded
+whole for ``json.loads``. What the reader returns, and every error it raises, is
 what ``json.loads`` of the file would give with those fields converted.
 
 Trace files are CSV with header
@@ -128,11 +128,17 @@ def _require_fields(doc: dict, kind: str, fields) -> None:
             raise InputError(f"{kind} document is missing field {field!r}")
 
 
+def _is_number(value, types) -> bool:
+    """True iff ``value`` is an instance of ``types`` and not a bool, which
+    JSON reads from ``true`` and ``false``."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _int_fields(doc: dict, names) -> list[int]:
-    try:
-        return [int(doc[name]) for name in names]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"fields {', '.join(names)} must be integers") from exc
+    values = [doc[name] for name in names]
+    if not all(_is_number(value, int) for value in values):
+        raise InputError(f"fields {', '.join(names)} must be integers")
+    return values
 
 
 def _float_array(doc: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
@@ -348,46 +354,43 @@ def _split_walk(buf, arrays, processes: int) -> dict | None:
     return doc
 
 
-# A file of at least this many bytes has its matrices parsed on two CPUs
-# (see _split_walk). Reading two N x 256 solution matrices (about 23.7 bytes
-# a number) on a shared 2-vCPU x86-64 VM, split against the one-process walk by
-# the median of 61 interleaved reads, over 5 to 17 runs a size: 1.15-5.7x
-# as long up to 0.24 MB; at 0.48, 0.73, 0.97 and 1.45 MB it lost 6 of 7,
-# 2 of 12, 1 of 12 and 2 of 17 runs (up to 1.51x), and won 5 of 5 at
-# 1.21 MB; from 1.94 MB on it won every run (0.59-0.97x), save one tie
-# (1.00x) at 2.42 MB.
+# A file of at least this many bytes is walked, with its matrices parsed
+# on two CPUs when forking is safe (see _walked); a smaller one is decoded
+# whole for json.loads. Reading two N x 256 solution matrices (about 23.7
+# bytes a number) on a shared 2-vCPU x86-64 VM, split against the
+# one-process walk by the median of 61 interleaved reads, over 5 to 17 runs
+# a size: 1.15-5.7x as long up to 0.24 MB; at 0.48, 0.73, 0.97 and 1.45 MB
+# it lost 6 of 7, 2 of 12, 1 of 12 and 2 of 17 runs (up to 1.51x), and won
+# 5 of 5 at 1.21 MB; from 1.94 MB on it won every run (0.59-0.97x), save
+# one tie (1.00x) at 2.42 MB. The one-process walk reads no faster than
+# json.loads (1.04-1.09x as long from 0.06 to 1.9 MB, 0.96-1.00x at 2.4-4.8
+# MB): what it saves is memory, the file's bytes and text at once, which
+# below this size come to at most about 4 MB.
 _SPLIT_CHARS = 1_900_000
-# A file of fewer bytes is decoded whole for json.loads. The walk reads no
-# faster: on the same VM it took 1.04-1.09x as long as json.loads from 0.06
-# to 1.9 MB and 0.96-1.00x at 2.4-4.8 MB, and 1.8x on a 6.4 kB instance
-# (0.31 against 0.17 ms). What it saves is memory, the file's bytes and
-# text at once, which below this size come to at most about 2 MB.
-_WALK_BYTES = 2**20
 
 
 def _walked(file, size: int, arrays) -> dict | None:
     """The walk of the open ``file`` of ``size`` bytes, read into an
     anonymous private mmap (never a map of the file, which another process
     could shrink under the walk): :func:`_split_walk` on two processes when
-    the file has at least ``_SPLIT_CHARS`` bytes and
     :func:`workers._can_fork`, else on this one alone. None if the file no
     longer holds ``size`` bytes or the walk cannot take it."""
     flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # populate: fewer faults
     with mmap.mmap(-1, size, flags=flags) as buf:
         if file.readinto(buf) != size or file.read(1):
             return None
-        return _split_walk(buf, arrays, 2 if size >= _SPLIT_CHARS and workers._can_fork() else 1)
+        return _split_walk(buf, arrays, 2 if workers._can_fork() else 1)
 
 
 def _read_json_object(path, kind: str) -> dict:
     """Parse an ASCII JSON file whose top level must be an object.
 
-    A file of at least ``_WALK_BYTES`` bytes is walked one member at a time
-    from a buffer off the malloc heap (see :func:`_walked`): each array
-    field of ``kind`` becomes a float64 array, and its pages are released,
-    before the next member is read. With at least ``_SPLIT_CHARS`` bytes,
-    its matrices are parsed on two CPUs (see :func:`_split_walk`). A
-    smaller file, one the walk cannot take and one whose size changes while
+    A file of at least ``_SPLIT_CHARS`` bytes is walked one member at a
+    time from a buffer off the malloc heap (see :func:`_walked`): each
+    array field of ``kind`` becomes a float64 array, and its pages are
+    released, before the next member is read. Its matrices are parsed on
+    two CPUs where forking is safe, and by this process alone elsewhere
+    (see :func:`_split_walk`). A smaller file, one the walk cannot take and one whose size changes while
     it is read are decoded whole for ``json.loads``, and their array fields
     converted after. So what this returns (an array field that does not
     convert stays as parsed) and every error it raises never depend on the
@@ -398,7 +401,7 @@ def _read_json_object(path, kind: str) -> dict:
     try:
         with open(path, "rb") as file:
             size = os.fstat(file.fileno()).st_size
-            walk = size >= max(_WALK_BYTES, 1) and hasattr(mmap, "MADV_DONTNEED")
+            walk = size >= max(_SPLIT_CHARS, 1) and hasattr(mmap, "MADV_DONTNEED")
             doc = _walked(file, size, arrays) if walk else None
             if doc is None:
                 file.seek(0)
@@ -427,9 +430,12 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     m, n, k = _int_fields(doc, ("m", "n", "k"))
     shapes = {"h_re": (m, n), "h_im": (m, n), "a_re": (m, k), "a_im": (m, k)}
     arrays = {field: _float_array(doc, field, shape) for field, shape in shapes.items()}
+    eta = doc["eta"]
     try:
-        eta = float(doc["eta"])
-    except (TypeError, ValueError, OverflowError) as exc:
+        if not _is_number(eta, (int, float)):
+            raise TypeError(f"eta is a {type(eta).__name__}")
+        eta = float(eta)  # OverflowError for an integer past float range
+    except (TypeError, OverflowError) as exc:
         raise InputError("field 'eta' must be a number") from exc
     if not (eta > 0.0 and np.isfinite(eta)):
         raise InputError(f"field 'eta' must be positive and finite, got {eta}")

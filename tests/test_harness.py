@@ -139,6 +139,11 @@ MALFORMED_INSTANCES = {
     "huge-integer-in-h-re": _instance_doc(h_re=_huge_entry("h_re")),
     "huge-integer-eta": _instance_doc(eta=10**400),
     "m-overflows-to-inf": _instance_doc().replace(b'"m": 10,', b'"m": 1e400,', 1),
+    "n-is-a-fraction": _instance_doc(n=5.7),
+    "n-is-a-string": _instance_doc(n="5"),
+    "m-is-a-fraction": _instance_doc(m=10.9),
+    "eta-is-a-string": _instance_doc(eta="2.0"),
+    "eta-is-a-bool": _instance_doc(eta=True),
     "deeply-nested-extra-field": (
         _instance_doc()[:-1] + b', "extra": ' + b"[" * 200_000 + b"]" * 200_000 + b"}"
     ),
@@ -158,6 +163,9 @@ MALFORMED_SOLUTIONS = {
     "top-level-number": b"7",
     "non-ascii-byte": _solution_doc().replace(b'"k"', b'"k\xc3\xa9"'),
     "n-overflows-to-inf": _solution_doc().replace(b'"n": 2,', b'"n": 1e400,', 1),
+    "n-is-a-fraction": _solution_doc(n=2.7),
+    "n-is-a-string": _solution_doc(n="2"),
+    "k-is-a-fraction": _solution_doc(k=2.9),
 }
 
 

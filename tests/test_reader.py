@@ -1,7 +1,8 @@
 """The JSON reader behind ``read_instance`` and ``read_solution``: a file
-below ``_WALK_BYTES`` goes whole to ``json.loads``, a larger one is read
-into an anonymous buffer and walked one member at a time, converting the
-named array fields as it goes and releasing their pages. Every path returns
+below ``_SPLIT_CHARS`` goes whole to ``json.loads``, a larger one is read
+into an anonymous buffer and walked one member at a time, by one process
+or two, converting the named array fields as it goes and releasing their
+pages. Every path returns
 what ``json.loads`` returns (those fields converted as ``_float_array``
 converts them) and raises the same errors: the walk in one process, the
 two-CPU split, a document either cannot take, a failed split and a file whose size
@@ -190,8 +191,8 @@ def expected_document(path: Path, kind: str) -> dict:
 def walk_forced():
     """Every read within walks the file's buffer in this process alone."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_WALK_BYTES", 0)
-        patch.setattr(formats, "_SPLIT_CHARS", float("inf"))
+        patch.setattr(formats, "_SPLIT_CHARS", 0)
+        patch.setattr(workers, "_can_fork", lambda: False)
         yield
 
 
@@ -199,7 +200,6 @@ def walk_forced():
 def split_forced():
     """Every read within takes the two-CPU path where its document allows."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(formats, "_WALK_BYTES", 0)
         patch.setattr(formats, "_SPLIT_CHARS", 0)
         patch.setattr(workers, "_usable_cpus", lambda: 2)
         yield
@@ -309,7 +309,7 @@ def test_read_peak_memory_stays_near_the_file_size(tmp_path, monkeypatch):
     at a time peaks at about 0.99x. Serial path."""
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
-    monkeypatch.setattr(formats, "_SPLIT_CHARS", path.stat().st_size + 1)
+    monkeypatch.setattr(workers, "_can_fork", lambda: False)
     _assert_read_peak_near_the_file_size(path)
 
 
@@ -591,6 +591,11 @@ def test_io_bench_small_run(tmp_path):
         }
         assert all(s > 0 for s in size["seconds"].values())
         assert set(size["rss_rise_mb"]) == set(size["seconds"])
+        assert set(size["before_mb"]) == set(size["peak_mb"]) == set(size["seconds"])
+        for call, rise in size["rss_rise_mb"].items():
+            before, peak = size["before_mb"][call], size["peak_mb"][call]
+            assert 0 < before <= peak
+            assert abs(rise - (peak - before)) <= 0.1
         assert size["instance_bytes"] > 0 and size["solution_bytes"] > 0
     for name, paths in (("read_split", ("split", "serial")), ("read_walk", ("walk", "loads"))):
         for ratio in run[name]["numbers"].values():

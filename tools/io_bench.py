@@ -19,26 +19,31 @@ It then compares the three read paths, each read in turn over a number of
 rounds:
 
 * ``split``: the matrices parsed on two CPUs, this process and a forked
-  child (``formats._WALK_BYTES`` and ``formats._SPLIT_CHARS`` set to 0);
+  child (``formats._SPLIT_CHARS`` set to 0);
 * ``walk`` (``serial`` in ``read_split``): the same walk of the file's
-  buffer in this process alone (``formats._SPLIT_CHARS`` set to infinity);
-* ``loads``: ``json.loads`` of the whole file (both set to infinity).
+  buffer in this process alone, the path of hosts that cannot fork
+  (``formats._SPLIT_CHARS`` set to 0 and ``workers._can_fork`` false);
+* ``loads``: ``json.loads`` of the whole file (``formats._SPLIT_CHARS`` set
+  to infinity).
 
 For solution files of N x 256 (2 x N x 256 numbers), 0.97 to 2.42 MB, it
 records the median of ``read_solution`` on two paths over
 ``CROSSOVER_ROUNDS`` rounds and their ratio: ``read_split`` (split over
 the walk in one process) and ``read_walk`` (that walk over ``loads``).
-``formats._SPLIT_CHARS`` is set where the split wins every run. The walk
-saves memory, not time, so ``formats._WALK_BYTES`` keeps small files, where
-that saving is small and the walk slower, on ``json.loads``.
+``formats._SPLIT_CHARS`` is set where the split wins every run; below it
+files go to ``json.loads``, because the walk saves memory, not time, and
+for small files that saving is small.
 ``read_large`` is the median of ``read_instance`` of the ``large`` instance
 on all three paths, over that size's rounds.
 
-The memory of each call is the rise of the peak resident set size across
-it, in a fresh child process that has already imported cmop and, for a
-write, loaded the document or matrix it writes (unpickled in 64 kB frames,
-so loading peaks only a little above what it loads). The figure is the
-call's own high-water mark above that. The child reads the peak as
+The memory of each call is measured in a fresh child process that has
+already imported cmop and, for a write, loaded the document or matrix it
+writes (unpickled in 64 kB frames, so loading peaks only a little above
+what it loads). ``before_mb`` is the peak resident set size just before
+the call, ``peak_mb`` the peak just after it, and ``rss_rise_mb`` the
+call's own high-water mark above ``before_mb``; a change in what the
+import or the load leaves resident moves ``before_mb``, not the rise
+alone. The child reads the peak as
 ``VmHWM`` from ``/proc/self/status`` (Linux): its ``ru_maxrss`` starts at
 the peak that this process had reached when it forked, which hides any
 rise below that. The children a call forks are not counted. The record
@@ -68,6 +73,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import cmop.formats as formats  # noqa: E402
+import cmop.workers as workers  # noqa: E402
 from cmop import (  # noqa: E402
     gen_instance,
     read_instance,
@@ -84,11 +90,11 @@ SMALL_SIZES = {"paper": (10, 5, 8, 1), "large": (40, 20, 16, 1)}
 CROSSOVER_ROWS = (80, 100, 120, 140, 160, 180, 200)
 CROSSOVER_ROUNDS = 61
 SMALL_CROSSOVER_ROWS, SMALL_CROSSOVER_ROUNDS = (2,), 1
-# The cmop.formats settings of each read path.
+# The settings of each read path: (module, name) to value.
 READ_PATHS = {
-    "split": {"_WALK_BYTES": 0, "_SPLIT_CHARS": 0},
-    "walk": {"_WALK_BYTES": 0, "_SPLIT_CHARS": float("inf")},
-    "loads": {"_WALK_BYTES": float("inf"), "_SPLIT_CHARS": float("inf")},
+    "split": {(formats, "_SPLIT_CHARS"): 0, (workers, "_can_fork"): workers._can_fork},
+    "walk": {(formats, "_SPLIT_CHARS"): 0, (workers, "_can_fork"): lambda: False},
+    "loads": {(formats, "_SPLIT_CHARS"): float("inf"), (workers, "_can_fork"): workers._can_fork},
 }
 # name: its two read paths, the one timed first.
 CROSSOVERS = {
@@ -97,7 +103,7 @@ CROSSOVERS = {
 }
 
 # Run in a child: import cmop, unpickle what a write writes, then report the
-# peak RSS rise (kB) of one call: harness.<argv[1]>([loaded,] argv[2]).
+# peak RSS (kB) before and after one call: harness.<argv[1]>([loaded,] argv[2]).
 _RSS_CHILD = """
 import pickle
 import sys
@@ -114,7 +120,7 @@ if len(sys.argv) > 3:
 call = getattr(harness, sys.argv[1])
 before = peak_kb()
 call(*args)
-print(peak_kb() - before)
+print(before, peak_kb())
 """
 
 
@@ -130,9 +136,9 @@ def _median_s(calls: dict, rounds: int) -> dict:
     return {name: statistics.median(ts) for name, ts in times.items()}
 
 
-def _rss_rise_mb(call: str, path: Path, data=None) -> float:
-    """The peak RSS rise of ``harness.<call>`` on ``path``, first given
-    ``data`` (pickled to a file next to it) if it is a write."""
+def _peak_rss_mb(call: str, path: Path, data=None) -> tuple[float, float]:
+    """The peak RSS before and after ``harness.<call>`` on ``path``, first
+    given ``data`` (pickled to a file next to it) if it is a write."""
     argv = [sys.executable, "-c", _RSS_CHILD, call, str(path)]
     if data is not None:
         source = path.with_suffix(".pickle")
@@ -141,7 +147,8 @@ def _rss_rise_mb(call: str, path: Path, data=None) -> float:
         argv.append(str(source))
     proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, check=True,
                           timeout=600)
-    return int(proc.stdout) / 1024
+    before, peak = (int(kb) / 1024 for kb in proc.stdout.split())
+    return before, peak
 
 
 def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
@@ -155,37 +162,40 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
         "write_solution": lambda: write_solution(w, sol),
         "read_solution": lambda: read_solution(sol),
     }, rounds)
+    rss = {
+        "write_instance": _peak_rss_mb("write_instance", inst, doc),
+        "read_instance": _peak_rss_mb("read_instance", inst),
+        "write_solution": _peak_rss_mb("write_solution", sol, w),
+        "read_solution": _peak_rss_mb("read_solution", sol),
+    }
     return {
         "m": m, "n": n, "k": k, "rounds": rounds,
         "instance_bytes": inst.stat().st_size,
         "solution_bytes": sol.stat().st_size,
         "seconds": {name: round(s, 6) for name, s in seconds.items()},
-        "rss_rise_mb": {
-            "write_instance": round(_rss_rise_mb("write_instance", inst, doc), 1),
-            "read_instance": round(_rss_rise_mb("read_instance", inst), 1),
-            "write_solution": round(_rss_rise_mb("write_solution", sol, w), 1),
-            "read_solution": round(_rss_rise_mb("read_solution", sol), 1),
-        },
+        "rss_rise_mb": {name: round(peak - before, 1) for name, (before, peak) in rss.items()},
+        "before_mb": {name: round(before, 2) for name, (before, _) in rss.items()},
+        "peak_mb": {name: round(peak, 2) for name, (_, peak) in rss.items()},
     }
 
 
 def _paths_median_s(paths: dict, read, path: Path, rounds: int) -> dict:
     """The median seconds of ``read(path)`` on each read path (``paths``:
-    name to :mod:`cmop.formats` settings), read in turn; the settings are
+    name to settings, as in ``READ_PATHS``), read in turn; the settings are
     restored after."""
-    saved = {name: getattr(formats, name) for setting in paths.values() for name in setting}
+    saved = {key: getattr(*key) for setting in paths.values() for key in setting}
 
     def on(setting):
-        for name, value in setting.items():
-            setattr(formats, name, value)
+        for (module, name), value in setting.items():
+            setattr(module, name, value)
         read(path)
 
     try:
         return _median_s({name: lambda s=setting: on(s) for name, setting in paths.items()},
                          rounds)
     finally:
-        for name, value in saved.items():
-            setattr(formats, name, value)
+        for (module, name), value in saved.items():
+            setattr(module, name, value)
 
 
 def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
@@ -205,8 +215,7 @@ def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
             f"{second}_s": round(seconds[second], 6),
             "ratio": round(seconds[first] / seconds[second], 3),
         }
-    return {"rounds": rounds, "split_chars": formats._SPLIT_CHARS,
-            "walk_bytes": formats._WALK_BYTES, "numbers": out}
+    return {"rounds": rounds, "split_chars": formats._SPLIT_CHARS, "numbers": out}
 
 
 def large_reads(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
