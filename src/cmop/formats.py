@@ -36,8 +36,9 @@ is safe, a forked child parses every other matrix (see
 :func:`_split_walk`); when it is not, this process walks the file alone,
 which keeps the read as lean on memory. A document the walk cannot take, a
 child that fails or a file whose size changes while it is read is decoded
-whole for ``json.loads``. What the reader returns, and every error it raises, is
-what ``json.loads`` of the file would give with those fields converted.
+whole for ``json.loads``. What the reader returns, and every error it
+raises, is what ``json.loads`` of the file would give with those fields
+converted.
 
 Trace files are CSV with header
 ``iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns``, LF line
@@ -390,12 +391,13 @@ def _read_json_object(path, kind: str) -> dict:
     array field of ``kind`` becomes a float64 array, and its pages are
     released, before the next member is read. Its matrices are parsed on
     two CPUs where forking is safe, and by this process alone elsewhere
-    (see :func:`_split_walk`). A smaller file, one the walk cannot take and one whose size changes while
-    it is read are decoded whole for ``json.loads``, and their array fields
-    converted after. So what this returns (an array field that does not
-    convert stays as parsed) and every error it raises never depend on the
-    path. Errors are those of ``json.loads`` on the file's text with its
-    line endings kept, so their positions are offsets in the file.
+    (see :func:`_split_walk`). A smaller file, one the walk cannot take
+    and one whose size changes while it is read are decoded whole for
+    ``json.loads``, and their array fields converted after. So what this
+    returns (an array field that does not convert stays as parsed) and
+    every error it raises never depend on the path. Errors are those of
+    ``json.loads`` on the file's text with its line endings kept, so their
+    positions are offsets in the file.
     """
     arrays = _ARRAY_FIELDS[kind]
     try:
@@ -431,11 +433,11 @@ def instance_from_document(doc: dict) -> ProblemInstance:
     shapes = {"h_re": (m, n), "h_im": (m, n), "a_re": (m, k), "a_im": (m, k)}
     arrays = {field: _float_array(doc, field, shape) for field, shape in shapes.items()}
     eta = doc["eta"]
+    if not _is_number(eta, (int, float)):
+        raise InputError("field 'eta' must be a number")
     try:
-        if not _is_number(eta, (int, float)):
-            raise TypeError(f"eta is a {type(eta).__name__}")
-        eta = float(eta)  # OverflowError for an integer past float range
-    except (TypeError, OverflowError) as exc:
+        eta = float(eta)
+    except OverflowError as exc:  # an integer past the float range
         raise InputError("field 'eta' must be a number") from exc
     if not (eta > 0.0 and np.isfinite(eta)):
         raise InputError(f"field 'eta' must be positive and finite, got {eta}")

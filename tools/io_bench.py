@@ -147,8 +147,8 @@ def _peak_rss_mb(call: str, path: Path, data=None) -> tuple[float, float]:
         argv.append(str(source))
     proc = subprocess.run(argv, env=child_env(), capture_output=True, text=True, check=True,
                           timeout=600)
-    before, peak = (int(kb) / 1024 for kb in proc.stdout.split())
-    return before, peak
+    before, peak = proc.stdout.split()
+    return int(before) / 1024, int(peak) / 1024
 
 
 def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
