@@ -2,13 +2,12 @@
 below ``_SPLIT_CHARS`` goes whole to ``json.loads``, a larger one is read
 into an anonymous buffer and walked one member at a time, by one process
 or two, converting the named array fields as it goes and releasing their
-pages. Every path returns
-what ``json.loads`` returns (those fields converted as ``_float_array``
-converts them) and raises the same errors: the walk in one process, the
-two-CPU split, a document either cannot take, a failed split and a file whose size
-changes while it is read; none leaves a process, a file descriptor or an
-open buffer behind. Also bounds the memory a read takes and smoke-tests
-``tools/io_bench.py``."""
+pages. Every path returns what ``json.loads`` returns (those fields
+converted as ``_float_array`` converts them) and raises the same errors:
+the walk in one process, the two-CPU split, a document either cannot
+take, a failed split and a file whose size changes while it is read; none
+leaves a process, a file descriptor or an open buffer behind. Also bounds
+the memory a read takes and smoke-tests ``tools/io_bench.py``."""
 
 import contextlib
 import itertools
