@@ -15,7 +15,7 @@ import functools
 import sys
 
 from .errors import CmopError
-from .formats import default_seed, gen_instance, write_instance
+from .formats import gen_instance, write_instance
 from .harness import (
     CHECK_SOURCES,
     ITERATIVE_METHODS,
@@ -113,17 +113,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            seed = args.seed if args.seed is not None else default_seed()
             doc = gen_instance(
                 m=args.m,
                 n=args.n,
                 k=args.k,
                 rng_range=args.rng_range,
                 eta=args.eta,
-                seed=seed,
+                seed=args.seed,
             )
             write_instance(doc, args.output)
-            print(f"wrote {args.output} (m={args.m} n={args.n} k={args.k} seed={seed})")
+            print(f"wrote {args.output} (m={args.m} n={args.n} k={args.k} seed={doc['seed']})")
             return EXIT_OK
 
         if args.command == "solve":

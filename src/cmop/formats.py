@@ -30,11 +30,12 @@ The reader decodes a file of fewer than ``_SPLIT_CHARS`` bytes whole for
 the malloc heap (a map of the file would let another process that shrinks
 it kill this one with SIGBUS), and walks it one member at a time: each
 array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``, ``w_im`` in
-solution files) is decoded on its own, turned into a float64 array and its
-pages released, so a read holds one matrix's text at a time. When forking
-is safe, a forked child parses every other matrix (see
-:func:`_split_walk`); when it is not, this process walks the file alone,
-which keeps the read as lean on memory. A document the walk cannot take, a
+solution files) is decoded one block of rows of about ``_BLOCK_NUMBERS``
+numbers at a time, straight into its float64 array, each block's pages
+released before the next is decoded, so a read holds the text and lists of
+one block of rows at a time. When forking is safe, a forked child parses
+every other matrix (see :func:`_split_walk`); when it is not, this process
+walks the file alone, which keeps the read as lean on memory. A document the walk cannot take, a
 child that fails or a file whose size changes while it is read is decoded
 whole for ``json.loads``. What the reader returns, and every error it
 raises, is what ``json.loads`` of the file would give with those fields
@@ -69,15 +70,30 @@ ENV_SEED = "CMOP_SEED"
 TRACE_HEADER = "iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns"
 
 
+def _nonnegative_seed(seed: int, name: str) -> int:
+    """``seed``, which numpy's generators need to be at least 0; InputError
+    naming ``name`` if it is not."""
+    if seed < 0:
+        raise InputError(f"{name} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def default_seed() -> int:
     """Seed used when none is given: the CMOP_SEED env var, else 0."""
     raw = os.environ.get(ENV_SEED)
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise InputError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+    return _nonnegative_seed(seed, ENV_SEED)
+
+
+def resolve_seed(seed: int | None) -> int:
+    """``seed``, or :func:`default_seed` where it is None; a negative seed
+    raises InputError."""
+    return default_seed() if seed is None else _nonnegative_seed(seed, "seed")
 
 
 def gen_instance(
@@ -101,8 +117,7 @@ def gen_instance(
         raise InputError(f"range must be positive with a finite span 2*range, got {rng_range}")
     if not (eta > 0.0 and np.isfinite(eta)):
         raise InputError(f"eta must be positive and finite, got {eta}")
-    if seed is None:
-        seed = default_seed()
+    seed = resolve_seed(seed)
     rng = np.random.default_rng(np.random.PCG64(seed))
     h_re = rng.uniform(-rng_range, rng_range, (m, n))
     h_im = rng.uniform(-rng_range, rng_range, (m, n))
@@ -260,12 +275,71 @@ def _converted(value):
         return value
 
 
-def _parsed_array(buf, start: int, end: int):
-    """The JSON value at ``start``, predicted to end at ``end`` and decoded
-    by :func:`_value`, as a float64 array, and the offset past it. Its lists
-    are freed on return."""
-    value, stop = _value(buf, start, end + 1)
-    return np.asarray(value, dtype=np.float64), stop
+def _row_blocks(buf, start: int, end: int) -> list[list[int]]:
+    """``[first, stop, rows]`` for each block of rows of the matrix at
+    ``start``, predicted to end at ``end``: ``buf[first:stop]`` holds
+    ``rows`` rows, about ``_BLOCK_NUMBERS`` numbers as the first row's
+    commas count them, and the blocks are joined by ',' and JSON
+    whitespace. A row runs from a '[' to the next ']', found by one
+    ``find``; the last one must be followed, past JSON whitespace, by the
+    matrix's own ']' at ``end``. Raises ValueError where that does not
+    hold."""
+    skip = _JSON_WS.match
+    blocks, per = [], 0
+    pos = skip(buf, start + 1).end()
+    while True:
+        close = buf.find(b"]", pos, end) if buf[pos:pos + 1] == b"[" else -1
+        if close < 0:
+            raise ValueError("not a row")
+        if not per:
+            per = max(1, _BLOCK_NUMBERS // (buf[pos:close].count(b",") + 1))
+        if blocks and blocks[-1][2] < per:
+            blocks[-1][1:] = close + 1, blocks[-1][2] + 1
+        else:
+            blocks.append([pos, close + 1, 1])
+        pos = skip(buf, close + 1).end()
+        if buf[pos:pos + 1] != b",":
+            break
+        pos = skip(buf, pos + 1).end()
+    if buf[pos:pos + 1] != b"]" or pos + 1 != end:
+        raise ValueError("the rows do not end the matrix")
+    return blocks
+
+
+def _parsed_rows(buf, first: int, stop: int, rows: int) -> np.ndarray:
+    """The block of ``rows`` rows in ``buf[first:stop]``, decoded as
+    ``raw_decode("[" + rows + "]")``, as a float64 array. Raises ValueError
+    unless they are that many rows of equal, non-zero length."""
+    text = "[" + codecs.ascii_decode(memoryview(buf)[first:stop])[0] + "]"
+    value, used = _DECODER.raw_decode(text)
+    block = np.asarray(value, dtype=np.float64)
+    if used != len(text) or block.ndim != 2 or len(block) != rows or not block.size:
+        raise ValueError("not a block of rows of numbers")
+    return block
+
+
+def _parsed_array(buf, start: int, end: int, empty=np.empty):
+    """The matrix at ``start``, predicted to end at ``end``, as a float64
+    array made by ``empty(shape)``, and ``end``. It is decoded one block of
+    rows at a time (:func:`_row_blocks`), each assigned into the array and
+    its whole pages released before the next is decoded, so the parse holds
+    one block's text and lists at a time. Raises ValueError (or what
+    decoding or converting a row raises) where the matrix is not equal rows
+    of numbers that end at ``end``; ``json.loads`` of the whole matrix is
+    then what decides."""
+    blocks = _row_blocks(buf, start, end)
+    array, row, done = None, 0, start
+    for first, stop, rows in blocks:
+        block = _parsed_rows(buf, first, stop, rows)
+        if array is None:
+            array = empty((sum(rows for _, _, rows in blocks), block.shape[1]))
+        if block.shape[1] != array.shape[1]:  # assignment would broadcast a row of one
+            raise ValueError("rows of different lengths")
+        array[row:row + rows] = block
+        row += rows
+        _release(buf, done, end if row == len(array) else stop)
+        done = max(done, stop // mmap.PAGESIZE * mmap.PAGESIZE)
+    return array, end
 
 
 def _split_walk(buf, arrays, processes: int) -> dict | None:
@@ -279,14 +353,16 @@ def _split_walk(buf, arrays, processes: int) -> dict | None:
     converts. The matrices are then parsed through
     :func:`workers._run_groups`: this process parses the first group, and
     with two processes and two matrices or more, a forked child parses
-    every other matrix from the buffer it inherits into an anonymous shared
-    mmap and sends back its shape and end. Each process first releases the
-    pages of the other's matrices, then those of each of its own once it is
-    parsed, so it holds the text of one matrix at a time. The result stands
-    only if every matrix converts and ends where predicted; the child's
-    arrays are then views of the shared map, adopted without a copy.
-    Duplicate keys, a 3-D or ragged array or a string holding ']]' all
-    return None."""
+    every other matrix from the buffer it inherits straight into its slot
+    of an anonymous shared mmap and sends back its shape and end. Each
+    process first releases the pages of the other's matrices, then parses
+    each of its own one block of rows at a time (:func:`_parsed_array`),
+    releasing each block's pages before it decodes the next, so it holds
+    the text of one block of rows at a time. The result stands only if
+    every matrix converts and ends where predicted; the child's arrays are
+    then views of the shared map, adopted without a copy. Duplicate keys, a
+    3-D or ragged array or a string holding ']' in a matrix all return
+    None."""
     keys, members = set(), []  # members: (key, start, end)
 
     def predict(key: str, pos: int):
@@ -317,6 +393,11 @@ def _split_walk(buf, arrays, processes: int) -> dict | None:
             size += 8 * room[i]
     out = mmap.mmap(-1, size) if size else None
 
+    def slot(i: int, shape: tuple[int, int]) -> np.ndarray:
+        if math.prod(shape) > room[i]:
+            raise ValueError("no room for the matrix")
+        return np.frombuffer(out, np.float64, math.prod(shape), offsets[i]).reshape(shape)
+
     def run_group(group: list[int]) -> list:
         for i, (_, start, end) in enumerate(members):
             if i not in group:
@@ -324,12 +405,11 @@ def _split_walk(buf, arrays, processes: int) -> dict | None:
         parsed = []
         for i in group:
             _, start, end = members[i]
-            array, stop = _parsed_array(buf, start, end)
-            _release(buf, start, end)
-            if i in offsets:  # in the child: publish the numbers, send the shape
-                np.frombuffer(out, np.float64, array.size, offsets[i])[:] = array.ravel()
-                array = array.shape
-            parsed.append((array, stop))
+            if i in offsets:  # in the child: parse into the shared map, send the shape
+                array, stop = _parsed_array(buf, start, end, lambda shape, i=i: slot(i, shape))
+                parsed.append((array.shape, stop))
+            else:
+                parsed.append(_parsed_array(buf, start, end))
         return parsed
 
     def valid(result, group) -> bool:
@@ -365,8 +445,11 @@ def _split_walk(buf, arrays, processes: int) -> dict | None:
 # 5 of 5 at 1.21 MB; from 1.94 MB on it won every run (0.59-0.97x), save
 # one tie (1.00x) at 2.42 MB. The one-process walk reads no faster than
 # json.loads (1.04-1.09x as long from 0.06 to 1.9 MB, 0.96-1.00x at 2.4-4.8
-# MB): what it saves is memory, the file's bytes and text at once, which
-# below this size come to at most about 4 MB.
+# MB): what it saves is memory. Under tracemalloc a 3.8 MB instance read
+# whole for json.loads peaks at 2.45x the file size, walked by this process
+# alone at 0.74x and on two CPUs at 0.56x (the arrays and the complex H and
+# A; it was 0.99x and 0.82x with one matrix's text and lists at a time);
+# below this size that saving is at most about 3.3 MB.
 _SPLIT_CHARS = 1_900_000
 
 
@@ -388,12 +471,13 @@ def _read_json_object(path, kind: str) -> dict:
 
     A file of at least ``_SPLIT_CHARS`` bytes is walked one member at a
     time from a buffer off the malloc heap (see :func:`_walked`): each
-    array field of ``kind`` becomes a float64 array, and its pages are
-    released, before the next member is read. Its matrices are parsed on
-    two CPUs where forking is safe, and by this process alone elsewhere
-    (see :func:`_split_walk`). A smaller file, one the walk cannot take
-    and one whose size changes while it is read are decoded whole for
-    ``json.loads``, and their array fields converted after. So what this
+    array field of ``kind`` is parsed into a float64 array one block of
+    rows at a time, each block's pages released as it is done. Its
+    matrices are parsed on two CPUs where forking is safe, and by this
+    process alone elsewhere (see :func:`_split_walk`). A smaller file, one
+    the walk cannot take and one whose size changes while it is read are
+    decoded whole for ``json.loads``, and their array fields converted
+    after. So what this
     returns (an array field that does not convert stays as parsed) and
     every error it raises never depend on the path. Errors are those of
     ``json.loads`` on the file's text with its line endings kept, so their
@@ -441,9 +525,19 @@ def instance_from_document(doc: dict) -> ProblemInstance:
         raise InputError("field 'eta' must be a number") from exc
     if not (eta > 0.0 and np.isfinite(eta)):
         raise InputError(f"field 'eta' must be positive and finite, got {eta}")
-    h = arrays["h_re"] + 1j * arrays["h_im"]
-    a = arrays["a_re"] + 1j * arrays["a_im"]
+    h = _complex(arrays["h_re"], arrays["h_im"])
+    a = _complex(arrays["a_re"], arrays["a_im"])
     return ProblemInstance(h=h, a=a, eta=eta)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The bits of ``re + 1j * im``, built in one complex buffer: the same
+    two ufuncs, and the addition commutes bit for bit. The expression
+    allocates a temporary ``1j * im`` unless numpy's elision of temporaries
+    (CPython builds that can inspect their call stack, arrays of 256 KiB or
+    more) reuses it."""
+    out = np.multiply(1j, im, out=np.empty(im.shape, np.complex128))
+    return np.add(out, re, out=out)
 
 
 def write_instance(doc: dict, path) -> None:
@@ -497,10 +591,13 @@ def _is_matrix(value) -> bool:
     return types == {float}
 
 
-# Numbers per block of rows that a matrix's text is encoded in. json's C
-# encoder holds one str per number until it joins them, about 5x the text it
-# returns, so a matrix encoded whole peaked at about 5x its text; a block of
-# 2^14 numbers is about 0.4 MB of text.
+# Numbers per block of rows that a matrix's text is encoded in, and that
+# the reader decodes it in (_parsed_array). json's C encoder holds one str
+# per number until it joins them, about 5x the text it returns, so a matrix
+# encoded whole peaked at about 5x its text; a block of 2^14 numbers is
+# about 0.4 MB of text. Decoding a block holds its text, its lists and its
+# array, about 75 bytes a number, where a matrix decoded whole held its
+# text and lists at once.
 _BLOCK_NUMBERS = 2**14
 
 

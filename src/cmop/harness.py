@@ -29,11 +29,12 @@ from .errors import (
     ConfigError,
     InputError,
 )
-from .formats import (  # gen_instance, write_instance: not called here, imported from here
+from .formats import (  # default_seed, gen_instance, write_instance: imported from here
     _write_lines,
-    default_seed,
+    default_seed,  # noqa: F401
     gen_instance,  # noqa: F401
     read_instance,
+    resolve_seed,
     solution_parts,
     write_instance,  # noqa: F401
     write_solution,
@@ -266,8 +267,7 @@ def run_check(
     if not monitors:
         raise InputError("no monitors requested")
     _check_monitor_validity(w_source, monitors)
-    if seed is None:
-        seed = default_seed()
+    seed = resolve_seed(seed)
     instance, _ = read_instance(instance_path)
     pre = precompute(instance)
     ball = RowBall.for_power_budget(instance.eta)

@@ -84,6 +84,18 @@ class TestInstanceRoundTrip:
         assert loaded["seed"] == doc["seed"]
         assert loaded["range"] == doc["range"]
 
+    def test_complex_matrices_have_the_bits_of_re_plus_1j_im(self):
+        """Signed zeros included: 1j * -0.0 has imaginary part +0.0."""
+        doc = gen_instance(m=6, n=3, k=4, seed=2)
+        for field in ("h_re", "h_im", "a_re", "a_im"):
+            doc[field] = np.asarray(doc[field])
+            doc[field][:2, :2] = [[-0.0, 0.0], [-0.0, -0.0]]
+        instance = instance_from_document(doc)
+        for x, got in (("h", instance.h), ("a", instance.a)):
+            expected = doc[f"{x}_re"] + 1j * doc[f"{x}_im"]
+            assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
+        assert np.signbit(instance.h.real[1, 0]) and not np.signbit(instance.h.imag[1, 0])
+
     def test_missing_field_named(self, tmp_path):
         doc = gen_instance(seed=0)
         del doc["a_im"]
@@ -554,6 +566,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, env_seed", [
+        (["gen", "--seed", "-1", "-o", "{out}"], None),
+        (["gen", "-o", "{out}"], "-5"),
+        (["check", "{inst}", "--w-source", "pgd", "--monitors", "lemma2", "--seed", "-3"], None),
+    ], ids=["gen-seed", "gen-env-seed", "check-seed"])
+    def test_negative_seed_is_a_one_line_input_error(self, tmp_path, capsys, monkeypatch,
+                                                     instance_path, argv, env_seed):
+        out = tmp_path / "g.cmop.json"
+        if env_seed is not None:
+            monkeypatch.setenv("CMOP_SEED", env_seed)
+        code = main([arg.format(out=out, inst=instance_path) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-negative" in err and not out.exists()
 
     def test_rank_deficient_closed_form_is_a_one_line_error(self, tmp_path, capsys):
         inst = tmp_path / "r0.json"

@@ -43,8 +43,10 @@ INSTANCES = tuple((f"p{seed}", ["--seed", str(seed)]) for seed in range(5)) + (
 # 2 x 160 x (128 + 257) and 2 x 128 x 257 numbers. The 2.9 MB instance is
 # above the size from which the reader walks a file's buffer and parses its
 # matrices on two CPUs (formats._SPLIT_CHARS); the 1.6 MB solution is below
-# it and goes whole to json.loads. The digest pins those paths with three
-# commands, not the whole matrix.
+# it and goes whole to json.loads. The instance's matrices cross the seams
+# between the blocks of rows that the reader decodes (formats._BLOCK_NUMBERS
+# numbers a block): h parses in 2 blocks of rows and a in 3. The digest pins
+# those paths with three commands, not the whole matrix.
 SPLIT_INSTANCE = ("s0", ["--seed", "0", "--m", "160", "--n", "128", "--k", "257"])
 SWEEP_ALPHAS = "f0.3,f0.9,fbad"
 # More steps than CPUs, out of cost order, with an error row and a step that
