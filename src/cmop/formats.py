@@ -35,9 +35,9 @@ numbers at a time, straight into its float64 array, each block's pages
 released before the next is decoded, so a read holds the text and lists of
 one block of rows at a time. When forking is safe, a forked child parses
 every other matrix (see :func:`_split_walk`); when it is not, this process
-walks the file alone, which keeps the read as lean on memory. A document the walk cannot take, a
-child that fails or a file whose size changes while it is read is decoded
-whole for ``json.loads``. What the reader returns, and every error it
+walks the file alone, which keeps the read as lean on memory. A document
+the walk cannot take, a child that fails or a file whose size changes while
+it is read is decoded whole for ``json.loads``. What the reader returns, and every error it
 raises, is what ``json.loads`` of the file would give with those fields
 converted.
 
@@ -307,9 +307,10 @@ def _row_blocks(buf, start: int, end: int) -> list[list[int]]:
 
 
 def _parsed_rows(buf, first: int, stop: int, rows: int) -> np.ndarray:
-    """The block of ``rows`` rows in ``buf[first:stop]``, decoded as
-    ``raw_decode("[" + rows + "]")``, as a float64 array. Raises ValueError
-    unless they are that many rows of equal, non-zero length."""
+    """The block of ``rows`` rows in ``buf[first:stop]`` as a float64
+    array, that text decoded by ``raw_decode`` between '[' and ']'; the
+    text and lists are freed on return. Raises ValueError unless it is that
+    many rows of equal, non-zero length."""
     text = "[" + codecs.ascii_decode(memoryview(buf)[first:stop])[0] + "]"
     value, used = _DECODER.raw_decode(text)
     block = np.asarray(value, dtype=np.float64)
@@ -328,16 +329,17 @@ def _parsed_array(buf, start: int, end: int, empty=np.empty):
     of numbers that end at ``end``; ``json.loads`` of the whole matrix is
     then what decides."""
     blocks = _row_blocks(buf, start, end)
+    total = sum(rows for _, _, rows in blocks)
     array, row, done = None, 0, start
     for first, stop, rows in blocks:
         block = _parsed_rows(buf, first, stop, rows)
         if array is None:
-            array = empty((sum(rows for _, _, rows in blocks), block.shape[1]))
+            array = empty((total, block.shape[1]))
         if block.shape[1] != array.shape[1]:  # assignment would broadcast a row of one
             raise ValueError("rows of different lengths")
         array[row:row + rows] = block
         row += rows
-        _release(buf, done, end if row == len(array) else stop)
+        _release(buf, done, end if row == total else stop)
         done = max(done, stop // mmap.PAGESIZE * mmap.PAGESIZE)
     return array, end
 
@@ -477,11 +479,10 @@ def _read_json_object(path, kind: str) -> dict:
     process alone elsewhere (see :func:`_split_walk`). A smaller file, one
     the walk cannot take and one whose size changes while it is read are
     decoded whole for ``json.loads``, and their array fields converted
-    after. So what this
-    returns (an array field that does not convert stays as parsed) and
-    every error it raises never depend on the path. Errors are those of
-    ``json.loads`` on the file's text with its line endings kept, so their
-    positions are offsets in the file.
+    after. So what this returns (an array field that does not convert stays
+    as parsed) and every error it raises never depend on the path. Errors
+    are those of ``json.loads`` on the file's text with its line endings
+    kept, so their positions are offsets in the file.
     """
     arrays = _ARRAY_FIELDS[kind]
     try:
