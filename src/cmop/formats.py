@@ -279,11 +279,10 @@ def _row_blocks(buf, start: int, end: int) -> list[list[int]]:
     """``[first, stop, rows]`` for each block of rows of the matrix at
     ``start``, predicted to end at ``end``: ``buf[first:stop]`` holds
     ``rows`` rows, about ``_BLOCK_NUMBERS`` numbers as the first row's
-    commas count them, and the blocks are joined by ',' and JSON
-    whitespace. A row runs from a '[' to the next ']', found by one
-    ``find``; the last one must be followed, past JSON whitespace, by the
-    matrix's own ']' at ``end``. Raises ValueError where that does not
-    hold."""
+    commas count them. Rows must be joined by ',' and JSON whitespace; a
+    row runs from a '[' to the next ']', found by one ``find``; the last
+    one must be followed, past JSON whitespace, by the matrix's own ']' at
+    ``end``. Raises ValueError where that does not hold."""
     skip = _JSON_WS.match
     blocks, per = [], 0
     pos = skip(buf, start + 1).end()
@@ -326,8 +325,8 @@ def _parsed_array(buf, start: int, end: int, empty=np.empty):
     its whole pages released before the next is decoded, so the parse holds
     one block's text and lists at a time. Raises ValueError (or what
     decoding or converting a row raises) where the matrix is not equal rows
-    of numbers that end at ``end``; ``json.loads`` of the whole matrix is
-    then what decides."""
+    of numbers that end at ``end``; the file is then decoded whole for
+    ``json.loads``."""
     blocks = _row_blocks(buf, start, end)
     total = sum(rows for _, _, rows in blocks)
     array, row, done = None, 0, start
