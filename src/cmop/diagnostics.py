@@ -84,7 +84,8 @@ class MonitorReport:
 
     ``violations`` holds (index, lhs, rhs, slack) for every failed check;
     ``worst_slack`` is the smallest margin lhs - rhs seen across all checks
-    (negative margins within the slack still pass).
+    (negative margins within the slack still pass), or NaN if any margin is
+    NaN.
     """
 
     name: str
@@ -94,13 +95,16 @@ class MonitorReport:
 
 
 def _build_report(name, margins_and_checks):
-    """Assemble a MonitorReport from (index, lhs, rhs, slack) tuples."""
+    """Assemble a MonitorReport from (index, lhs, rhs, slack) tuples. A
+    check passes only if its margin lhs - rhs is at least -slack, so a NaN
+    margin is a violation, and then ``worst_slack`` is NaN."""
     violations = []
     worst = math.inf
     for idx, lhs, rhs, slack in margins_and_checks:
         margin = lhs - rhs
-        worst = min(worst, margin)
-        if margin < -slack:
+        if margin < worst or math.isnan(margin):
+            worst = margin
+        if not margin >= -slack:
             violations.append((idx, lhs, rhs, slack))
     return MonitorReport(
         name=name,

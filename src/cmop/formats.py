@@ -15,31 +15,37 @@ write/read cycle reproduces every number exactly.
 Instance and solution files hold exactly the bytes of
 ``json.dumps(doc, indent=1) + "\\n"``: one member, array row or number per
 line, indented one space per level, with an LF after the closing brace.
-The writer encodes each matrix with json's compact C encoder and then
+The writer encodes each matrix with json's compact C encoder one block of
+rows of about ``_BLOCK_NUMBERS`` numbers at a time, from its lists or, for
+a solution, from the float64 arrays ``w.real`` and ``w.imag``, and then
 widens its separators to that layout; a document of any other shape goes
 to ``json.dumps`` itself. Keys and scalars are encoded before the file is
 opened, so a document that cannot be encoded leaves it untouched; each
-matrix's text is then written as it is made. A document with at least
-``_SPLIT_NUMBERS`` numbers in its matrices has every other matrix encoded
-by a forked child, pinned to a second CPU, when forking is safe (see
-:func:`workers._can_fork`); a child that fails leaves this process to encode
-everything, and the bytes never depend on the split.
+block's text is then written as it is made. A document with at least
+``_SPLIT_NUMBERS`` numbers in its matrices is cut in two at a block of rows
+when forking is safe (see :func:`workers._can_fork`): a forked child,
+pinned to a second CPU, writes the second half to a temporary file that is
+then copied in a window at a time (see :func:`_split_write`); a child that
+fails leaves this process to write that half, and the bytes never depend
+on the split.
 
 The reader decodes a file of fewer than ``_SPLIT_CHARS`` bytes whole for
-``json.loads``. It reads a larger one into an anonymous private mmap, off
-the malloc heap (a map of the file would let another process that shrinks
-it kill this one with SIGBUS), and walks it one member at a time: each
+``json.loads``. It reads a larger one through a window of
+``_WINDOW_BYTES``, an anonymous private mmap off the malloc heap (a map of
+the file would let another process that shrinks it kill this one with
+SIGBUS), so no process holds the whole file. A first pass walks the file
+one member at a time, decoding keys and scalars and finding where each
 array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``, ``w_im`` in
-solution files) is decoded one block of rows of about ``_BLOCK_NUMBERS``
-numbers at a time, straight into its float64 array, each block's pages
-released before the next is decoded, so a read holds the text and lists of
-one block of rows at a time. When forking is safe, a forked child parses
-every other matrix (see :func:`_split_walk`); when it is not, this process
-walks the file alone, which keeps the read as lean on memory. A document
-the walk cannot take, a child that fails or a file whose size changes while
-it is read is decoded whole for ``json.loads``. What the reader returns, and every error it
-raises, is what ``json.loads`` of the file would give with those fields
-converted.
+solution files) ends. A second pass reads each of those again one block of
+rows at a time and decodes it straight into its float64 array, so a read
+holds one window, or one block of rows where that is longer, and that
+block's lists. When forking is safe, a forked child parses every other
+matrix (see :func:`_split_walk`); when it is not, this process parses them
+alone, which keeps the read as lean on memory. A document the walk cannot
+take, a child that fails, a short read and a file whose size, mtime or
+inode change while it is read are decoded whole for ``json.loads``. What
+the reader returns, and every error it raises, is what ``json.loads`` of
+the file would give with those fields converted.
 
 Trace files are CSV with header
 ``iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns``, LF line
@@ -50,11 +56,14 @@ re-running a command with identical inputs yields byte-identical outputs.
 from __future__ import annotations
 
 import codecs
+import itertools
 import json
 import math
 import mmap
 import os
 import re
+import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -173,97 +182,180 @@ def _float_array(doc: dict, field: str, shape: tuple[int, int]) -> np.ndarray:
 _ARRAY_FIELDS = {"instance": ("h_re", "h_im", "a_re", "a_im"), "solution": ("w_re", "w_im")}
 _JSON_WS = re.compile(rb"[ \t\n\r]*")  # JSON's four whitespace characters, as json.loads skips
 _DECODER = json.JSONDecoder()
-_WINDOW = 64  # bytes first decoded for a key, or for a member that is not a matrix
+_PEEK = 64  # bytes first decoded for a key, or for a member that is not a matrix
 _NUMBER_GOES_ON = ".0123456789Ee"  # bytes that could extend a number just decoded
 
 
-def _value(buf, pos: int, stop: int):
-    """The JSON value at ``pos`` in ``buf`` and the offset just past it.
+class _Window:
+    """Bytes ``[base, stop)`` of the open file ``fd``, held in one reused
+    anonymous private buffer of ``_WINDOW_BYTES``, or of ``limit`` bytes if
+    that is less (never a map of the file, which another process could
+    shrink under the read), and read with ``os.preadv`` at most
+    ``_WINDOW_BYTES`` at a time, never past ``limit``. Offsets are file
+    offsets. Each method that needs a byte past ``stop`` moves the bytes
+    from its ``keep`` offset (by default the one it looks at) to the front
+    and reads on; the buffer grows, by one window, only when the bytes from
+    ``keep`` fill it. A short read raises ValueError."""
 
-    It is decoded from ``buf[pos:stop]``, or from windows four times as
-    long each time the value runs past the last one: a value is taken once
-    it ends before the window's last byte and the byte after it could not
-    extend a number. At the end of the buffer, the window's error is raised
-    (ValueError, also for bytes that are not ASCII)."""
-    size = len(buf)
+    def __init__(self, fd: int, limit: int):
+        self.fd, self.limit = fd, limit
+        self.buf = mmap.mmap(-1, min(_WINDOW_BYTES, max(limit, 1)), flags=mmap.MAP_PRIVATE)
+        self.base = self.stop = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.buf.close()
+
+    def start(self, pos: int, limit: int) -> None:
+        """Hold nothing, and read from ``pos`` up to ``limit`` next."""
+        self.base = self.stop = pos
+        self.limit = limit
+
+    def _has(self, pos: int, keep: int) -> bool:
+        """Whether the byte at ``pos`` (at least ``keep``) is held, reading
+        on until it is; False from ``limit`` on."""
+        if not self.base <= keep <= self.stop:
+            self.start(keep, self.limit)
+        while pos >= self.stop:
+            if self.stop >= self.limit:
+                return False
+            kept = self.stop - keep
+            if keep > self.base:
+                self.buf.move(0, keep - self.base, kept)
+                self.base = keep
+            elif kept == len(self.buf):
+                bigger = mmap.mmap(-1, kept + _WINDOW_BYTES, flags=mmap.MAP_PRIVATE)
+                with memoryview(self.buf) as held:
+                    bigger[:kept] = held
+                self.buf.close()
+                self.buf = bigger
+            count = min(len(self.buf) - kept, _WINDOW_BYTES, self.limit - self.stop)
+            with memoryview(self.buf) as view:
+                if os.preadv(self.fd, [view[kept:kept + count]], self.stop) != count:
+                    raise ValueError("the file came up short")
+            self.stop += count
+        return True
+
+    def byte(self, pos: int, keep: int | None = None) -> bytes:
+        """The byte at ``pos``; b"" from ``limit`` on."""
+        if not self._has(pos, pos if keep is None else keep):
+            return b""
+        return self.buf[pos - self.base:pos - self.base + 1]
+
+    def skip(self, pos: int, keep: int | None = None) -> int:
+        """The first offset from ``pos`` that is not JSON whitespace, or
+        ``limit``."""
+        while self._has(pos, pos if keep is None else keep):
+            pos = self.base + _JSON_WS.match(self.buf, pos - self.base, self.stop - self.base).end()
+            if pos < self.stop:
+                return pos
+        return pos
+
+    def find(self, sub: bytes, pos: int, keep: int | None = None) -> int:
+        """The offset of the first byte ``sub`` from ``pos``, or -1."""
+        while self._has(pos, pos if keep is None else keep):
+            found = self.buf.find(sub, pos - self.base, self.stop - self.base)
+            if found >= 0:
+                return self.base + found
+            pos = self.stop
+        return -1
+
+    def text(self, pos: int, stop: int) -> str:
+        """Bytes ``[pos, stop)`` decoded as ASCII (ValueError where they are
+        not); they must fit in the buffer."""
+        self._has(stop - 1, pos)
+        with memoryview(self.buf) as view:
+            return codecs.ascii_decode(view[pos - self.base:stop - self.base])[0]
+
+
+def _value(w: _Window, pos: int):
+    """The JSON value at ``pos`` and the offset just past it.
+
+    It is decoded from the first ``_PEEK`` bytes, or from spans four times
+    as long each time the value runs past the last one: a value is taken
+    once it ends before the span's last byte and the byte after it could
+    not extend a number. At the end of the file, the span's error is raised
+    (ValueError, also for bytes that are not ASCII); a value that does not
+    fit in the window raises ValueError too."""
+    room = pos + len(w.buf)
+    stop = pos + _PEEK
     while True:
-        stop = min(stop, size)
+        stop = min(stop, w.limit, room)
+        text = w.text(pos, stop)
         try:
-            text = codecs.ascii_decode(memoryview(buf)[pos:stop])[0]
             value, end = _DECODER.raw_decode(text)
-            if stop == size or (end < len(text) and text[end] not in _NUMBER_GOES_ON):
+            if stop == w.limit or (end < len(text) and text[end] not in _NUMBER_GOES_ON):
                 return value, pos + end
         except ValueError:
-            if stop == size:
+            if stop == w.limit:
                 raise
+        if stop == room:
+            raise ValueError("a value longer than the window")
         stop = pos + 4 * (stop - pos)
 
 
-def _walk_object(buf, parse_value) -> dict | None:
-    """Parse the top-level JSON object in ``buf`` one member at a time.
+def _walk_object(w: _Window, parse_value) -> dict | None:
+    """Parse the top-level JSON object of the file in ``w`` one member at
+    a time, reading it once from start to end.
 
     Keys are decoded by :func:`_value`; ``parse_value(key, pos)`` returns
     the value of member ``key``, which starts at ``pos``, and the offset
     just past it, and raises ValueError or RecursionError where it cannot.
     Anything this walk does not follow (a top level that is not an object,
     a syntax error, a byte that is not ASCII, trailing data, nesting past
-    the recursion limit) returns None, and the caller decodes the file
-    whole for ``json.loads``. Otherwise every key stands where
-    ``json.loads`` puts it, duplicates included: the last value wins in
-    the first key's position.
+    the recursion limit, a key or value longer than the window, a short
+    read) returns None, and the caller decodes the file whole for
+    ``json.loads``. Otherwise every key stands where ``json.loads`` puts
+    it, duplicates included: the last value wins in the first key's
+    position.
     """
-    skip = _JSON_WS.match
-    pos = skip(buf).end()
-    if buf[pos:pos + 1] != b"{":
-        return None
-    doc = {}
-    pos = skip(buf, pos + 1).end()
-    if buf[pos:pos + 1] == b"}":
-        pos += 1
-    else:
-        try:
+    try:
+        pos = w.skip(0)
+        if w.byte(pos) != b"{":
+            return None
+        doc = {}
+        pos = w.skip(pos + 1)
+        if w.byte(pos) == b"}":
+            pos += 1
+        else:
             while True:
-                if buf[pos:pos + 1] != b'"':
+                if w.byte(pos) != b'"':
                     return None
-                key, pos = _value(buf, pos, pos + _WINDOW)
-                pos = skip(buf, pos).end()
-                if buf[pos:pos + 1] != b":":
+                key, pos = _value(w, pos)
+                pos = w.skip(pos)
+                if w.byte(pos) != b":":
                     return None
-                doc[key], pos = parse_value(key, skip(buf, pos + 1).end())
-                pos = skip(buf, pos).end()
-                sep = buf[pos:pos + 1]
+                doc[key], pos = parse_value(key, w.skip(pos + 1))
+                pos = w.skip(pos)
+                sep = w.byte(pos)
                 pos += 1
                 if sep == b"}":
                     break
                 if sep != b",":
                     return None
-                pos = skip(buf, pos).end()
-        except (ValueError, RecursionError):
+                pos = w.skip(pos)
+        if w.skip(pos) != w.limit:
             return None
-    if skip(buf, pos).end() != len(buf):
+    except (ValueError, RecursionError):
         return None
     return doc
 
 
-def _matrix_end(buf, pos: int) -> int:
-    """Where the matrix at ``pos`` ends if it is one: just past the first
-    ']' that follows another ']' and JSON whitespace; -1 if none does."""
-    close = buf.find(b"]", pos)
+def _matrix_end(w: _Window, pos: int) -> tuple[int, int]:
+    """Where the matrix at ``pos`` ends if it is one, just past the first
+    ']' that follows another ']' and JSON whitespace, and the number of ']'
+    found up to there, its rows if it is a matrix; (-1, that number) if no
+    ']' does."""
+    rows, close = 0, w.find(b"]", pos)
     while close >= 0:
-        after = _JSON_WS.match(buf, close + 1).end()
-        if buf[after:after + 1] == b"]":
-            return after + 1
-        close = buf.find(b"]", after)
-    return -1
-
-
-def _release(buf, start: int, end: int) -> None:
-    """Give the pages that lie wholly inside ``buf[start:end]`` back to the
-    system. Nothing reads them again."""
-    first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE
-    last = end // mmap.PAGESIZE * mmap.PAGESIZE
-    if last > first:
-        buf.madvise(mmap.MADV_DONTNEED, first, last - first)
+        rows += 1
+        after = w.skip(close + 1)
+        if w.byte(after) == b"]":
+            return after + 1, rows
+        close = w.find(b"]", after)
+    return -1, rows
 
 
 def _converted(value):
@@ -275,42 +367,44 @@ def _converted(value):
         return value
 
 
-def _row_blocks(buf, start: int, end: int) -> list[list[int]]:
-    """``[first, stop, rows]`` for each block of rows of the matrix at
-    ``start``, predicted to end at ``end``: ``buf[first:stop]`` holds
-    ``rows`` rows, about ``_BLOCK_NUMBERS`` numbers as the first row's
-    commas count them. Rows must be joined by ',' and JSON whitespace; a
-    row runs from a '[' to the next ']', found by one ``find``; the last
-    one must be followed, past JSON whitespace, by the matrix's own ']' at
-    ``end``. Raises ValueError where that does not hold."""
-    skip = _JSON_WS.match
-    blocks, per = [], 0
-    pos = skip(buf, start + 1).end()
+def _row_blocks(w: _Window, start: int, end: int):
+    """Read the matrix at ``start``, predicted to end at ``end``, and yield
+    ``(first, stop, rows)`` for each block of rows once the window holds
+    bytes ``[first, stop)``: ``rows`` rows, about ``_BLOCK_NUMBERS``
+    numbers as the first row's commas count them. Rows must be joined by
+    ',' and JSON whitespace; a row runs from a '[' to the next ']'; the
+    last one must be followed, past JSON whitespace, by the matrix's own
+    ']' at ``end``. Raises ValueError where that does not hold."""
+    w.start(start, end)
+    per, pos = 0, w.skip(start + 1)
     while True:
-        close = buf.find(b"]", pos, end) if buf[pos:pos + 1] == b"[" else -1
-        if close < 0:
-            raise ValueError("not a row")
-        if not per:
-            per = max(1, _BLOCK_NUMBERS // (buf[pos:close].count(b",") + 1))
-        if blocks and blocks[-1][2] < per:
-            blocks[-1][1:] = close + 1, blocks[-1][2] + 1
-        else:
-            blocks.append([pos, close + 1, 1])
-        pos = skip(buf, close + 1).end()
-        if buf[pos:pos + 1] != b",":
+        first, rows = pos, 0
+        while True:
+            close = w.find(b"]", pos, first) if w.byte(pos, first) == b"[" else -1
+            if close < 0:
+                raise ValueError("not a row")
+            if not per:
+                per = max(1, _BLOCK_NUMBERS // (w.text(pos, close).count(",") + 1))
+            rows += 1
+            pos = w.skip(close + 1, first)
+            more = w.byte(pos, first) == b","
+            if not more or rows == per:
+                break
+            pos = w.skip(pos + 1, first)
+        yield first, close + 1, rows
+        if not more:
             break
-        pos = skip(buf, pos + 1).end()
-    if buf[pos:pos + 1] != b"]" or pos + 1 != end:
+        pos = w.skip(pos + 1)
+    if w.byte(pos) != b"]" or pos + 1 != end:
         raise ValueError("the rows do not end the matrix")
-    return blocks
 
 
-def _parsed_rows(buf, first: int, stop: int, rows: int) -> np.ndarray:
-    """The block of ``rows`` rows in ``buf[first:stop]`` as a float64
-    array, that text decoded by ``raw_decode`` between '[' and ']'; the
-    text and lists are freed on return. Raises ValueError unless it is that
-    many rows of equal, non-zero length."""
-    text = "[" + codecs.ascii_decode(memoryview(buf)[first:stop])[0] + "]"
+def _parsed_rows(w: _Window, first: int, stop: int, rows: int) -> np.ndarray:
+    """The block of ``rows`` rows at ``[first, stop)``, held by ``w``, as a
+    float64 array: that text decoded by ``raw_decode`` between '[' and ']';
+    the text and lists are freed on return. Raises ValueError unless it is
+    that many rows of equal, non-zero length."""
+    text = "[" + w.text(first, stop) + "]"
     value, used = _DECODER.raw_decode(text)
     block = np.asarray(value, dtype=np.float64)
     if used != len(text) or block.ndim != 2 or len(block) != rows or not block.size:
@@ -318,69 +412,68 @@ def _parsed_rows(buf, first: int, stop: int, rows: int) -> np.ndarray:
     return block
 
 
-def _parsed_array(buf, start: int, end: int, empty=np.empty):
-    """The matrix at ``start``, predicted to end at ``end``, as a float64
-    array made by ``empty(shape)``, and ``end``. It is decoded one block of
-    rows at a time (:func:`_row_blocks`), each assigned into the array and
-    its whole pages released before the next is decoded, so the parse holds
-    one block's text and lists at a time. Raises ValueError (or what
-    decoding or converting a row raises) where the matrix is not equal rows
-    of numbers that end at ``end``; the file is then decoded whole for
-    ``json.loads``."""
-    blocks = _row_blocks(buf, start, end)
-    total = sum(rows for _, _, rows in blocks)
-    array, row, done = None, 0, start
-    for first, stop, rows in blocks:
-        block = _parsed_rows(buf, first, stop, rows)
+def _parsed_array(w: _Window, start: int, end: int, rows: int, empty=np.empty):
+    """The matrix of ``rows`` rows at ``start``, predicted to end at
+    ``end``, as a float64 array made by ``empty(shape)``, and ``end``. It is
+    read and decoded one block of rows at a time (:func:`_row_blocks`),
+    each assigned into the array before the next is read, so the parse
+    holds one block's text and lists at a time. Raises ValueError (or what
+    decoding or converting a row raises) where the matrix is not ``rows``
+    equal rows of numbers that end at ``end``; the file is then decoded
+    whole for ``json.loads``."""
+    array, row = None, 0
+    for first, stop, count in _row_blocks(w, start, end):
+        block = _parsed_rows(w, first, stop, count)
         if array is None:
-            array = empty((total, block.shape[1]))
+            if rows * block.shape[1] > (end - start) // 2:  # L characters hold <= L / 2 numbers
+                raise ValueError("more numbers than the text can hold")
+            array = empty((rows, block.shape[1]))
         if block.shape[1] != array.shape[1]:  # assignment would broadcast a row of one
             raise ValueError("rows of different lengths")
-        array[row:row + rows] = block
-        row += rows
-        _release(buf, done, end if row == total else stop)
-        done = max(done, stop // mmap.PAGESIZE * mmap.PAGESIZE)
+        if row + count > rows:
+            raise ValueError("more rows than predicted")
+        array[row:row + count] = block
+        row += count
+    if row != rows:
+        raise ValueError("fewer rows than predicted")
     return array, end
 
 
-def _split_walk(buf, arrays, processes: int) -> dict | None:
+def _split_walk(w: _Window, arrays, processes: int) -> dict | None:
     """:func:`_walk_object`'s result with the matrices parsed by one or
     two ``processes``, or None if the walk cannot take the file or fails in
     any way.
 
-    The walk decodes keys and scalars but only predicts where each member
-    named in ``arrays`` that opens with '[' ends (:func:`_matrix_end`); a
+    The walk reads the file once through the window: it decodes keys and
+    scalars but only predicts where each member named in ``arrays`` that
+    opens with '[' ends and how many rows it has (:func:`_matrix_end`); a
     member named in ``arrays`` that does not becomes a float64 array if it
     converts. The matrices are then parsed through
     :func:`workers._run_groups`: this process parses the first group, and
     with two processes and two matrices or more, a forked child parses
-    every other matrix from the buffer it inherits straight into its slot
-    of an anonymous shared mmap and sends back its shape and end. Each
-    process first releases the pages of the other's matrices, then parses
-    each of its own one block of rows at a time (:func:`_parsed_array`),
-    releasing each block's pages before it decodes the next, so it holds
-    the text of one block of rows at a time. The result stands only if
-    every matrix converts and ends where predicted; the child's arrays are
-    then views of the shared map, adopted without a copy. Duplicate keys, a
-    3-D or ragged array or a string holding ']' in a matrix all return
-    None."""
-    keys, members = set(), []  # members: (key, start, end)
+    every other matrix straight into its slot of an anonymous shared mmap
+    and sends back its shape and end. Each process reads only its own
+    matrices, one block of rows at a time into the window it holds
+    (:func:`_parsed_array`). The result stands only if every matrix
+    converts and ends where predicted; the child's arrays are then views of
+    the shared map, adopted without a copy. Duplicate keys, a 3-D or ragged
+    array or a string holding ']' in a matrix all return None."""
+    keys, members = set(), []  # members: (key, start, end, rows)
 
     def predict(key: str, pos: int):
         if key in keys:
             raise ValueError("duplicate key")  # json.loads keeps the first key's position
         keys.add(key)
-        if key not in arrays or buf[pos:pos + 1] != b"[":
-            value, end = _value(buf, pos, pos + _WINDOW)
-            _release(buf, pos, end)
+        if key not in arrays or w.byte(pos) != b"[":
+            value, end = _value(w, pos)
             return (_converted(value) if key in arrays else value), end
-        end = _matrix_end(buf, pos)
+        end, rows = _matrix_end(w, pos)
         if end < 0:
             raise ValueError("no matrix end")
-        members.append((key, pos, end))
+        members.append((key, pos, end, rows))
         return None, end
 
-    doc = _walk_object(buf, predict)
+    doc = _walk_object(w, predict)
     if doc is None:
         return None
     processes = min(processes, max(len(members), 1))
@@ -400,17 +493,14 @@ def _split_walk(buf, arrays, processes: int) -> dict | None:
         return np.frombuffer(out, np.float64, math.prod(shape), offsets[i]).reshape(shape)
 
     def run_group(group: list[int]) -> list:
-        for i, (_, start, end) in enumerate(members):
-            if i not in group:
-                _release(buf, start, end)
         parsed = []
         for i in group:
-            _, start, end = members[i]
+            _, start, end, rows = members[i]
             if i in offsets:  # in the child: parse into the shared map, send the shape
-                array, stop = _parsed_array(buf, start, end, lambda shape, i=i: slot(i, shape))
+                array, stop = _parsed_array(w, start, end, rows, lambda shape, i=i: slot(i, shape))
                 parsed.append((array.shape, stop))
             else:
-                parsed.append(_parsed_array(buf, start, end))
+                parsed.append(_parsed_array(w, start, end, rows))
         return parsed
 
     def valid(result, group) -> bool:
@@ -454,41 +544,47 @@ def _split_walk(buf, arrays, processes: int) -> dict | None:
 _SPLIT_CHARS = 1_900_000
 
 
-def _walked(file, size: int, arrays) -> dict | None:
-    """The walk of the open ``file`` of ``size`` bytes, read into an
-    anonymous private mmap (never a map of the file, which another process
-    could shrink under the walk): :func:`_split_walk` on two processes when
-    :func:`workers._can_fork`, else on this one alone. None if the file no
-    longer holds ``size`` bytes or the walk cannot take it."""
-    flags = mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0)  # populate: fewer faults
-    with mmap.mmap(-1, size, flags=flags) as buf:
-        if file.readinto(buf) != size or file.read(1):
-            return None
-        return _split_walk(buf, arrays, 2 if workers._can_fork() else 1)
+def _identity(stat: os.stat_result) -> tuple[int, int, int]:
+    """What tells a file apart from a rewrite of it: size, mtime, inode."""
+    return stat.st_size, stat.st_mtime_ns, stat.st_ino
+
+
+def _walked(file, stat: os.stat_result, arrays) -> dict | None:
+    """The walk of the open ``file``, whose ``os.fstat`` was ``stat``,
+    through one window (see :class:`_Window`): :func:`_split_walk` on two
+    processes when :func:`workers._can_fork`, else on this one alone. None
+    if the walk cannot take the file or the file is not what ``stat``
+    described once every process has read it."""
+    fd = file.fileno()
+    with _Window(fd, stat.st_size) as w:
+        doc = _split_walk(w, arrays, 2 if workers._can_fork() else 1)
+    if doc is None or _identity(os.fstat(fd)) != _identity(stat):
+        return None
+    return doc
 
 
 def _read_json_object(path, kind: str) -> dict:
     """Parse an ASCII JSON file whose top level must be an object.
 
-    A file of at least ``_SPLIT_CHARS`` bytes is walked one member at a
-    time from a buffer off the malloc heap (see :func:`_walked`): each
-    array field of ``kind`` is parsed into a float64 array one block of
-    rows at a time, each block's pages released as it is done. Its
-    matrices are parsed on two CPUs where forking is safe, and by this
-    process alone elsewhere (see :func:`_split_walk`). A smaller file, one
-    the walk cannot take and one whose size changes while it is read are
-    decoded whole for ``json.loads``, and their array fields converted
-    after. So what this returns (an array field that does not convert stays
-    as parsed) and every error it raises never depend on the path. Errors
-    are those of ``json.loads`` on the file's text with its line endings
-    kept, so their positions are offsets in the file.
+    A file of at least ``_SPLIT_CHARS`` bytes is read twice through a
+    window of ``_WINDOW_BYTES`` (see :func:`_walked`): once to walk its
+    members, and once more one block of rows at a time to parse each array
+    field of ``kind`` into a float64 array. Its matrices are parsed on two
+    CPUs where forking is safe, and by this process alone elsewhere (see
+    :func:`_split_walk`). A smaller file, one the walk cannot take and one
+    that changes while it is read are decoded whole for ``json.loads``, and
+    their array fields converted after. So what this returns (an array
+    field that does not convert stays as parsed) and every error it raises
+    never depend on the path. Errors are those of ``json.loads`` on the
+    file's text with its line endings kept, so their positions are offsets
+    in the file.
     """
     arrays = _ARRAY_FIELDS[kind]
     try:
         with open(path, "rb") as file:
-            size = os.fstat(file.fileno()).st_size
-            walk = size >= max(_SPLIT_CHARS, 1) and hasattr(mmap, "MADV_DONTNEED")
-            doc = _walked(file, size, arrays) if walk else None
+            stat = os.fstat(file.fileno())
+            walk = stat.st_size >= max(_SPLIT_CHARS, 1) and hasattr(os, "preadv")
+            doc = _walked(file, stat, arrays) if walk else None
             if doc is None:
                 file.seek(0)
                 doc = json.loads(file.read().decode("ascii"))
@@ -562,14 +658,13 @@ def write_solution(w, path) -> None:
     """Write a solution matrix as JSON with split re/im arrays: the bytes of
     ``json.dumps(doc, indent=1) + "\\n"`` for the document
     ``{"n": N, "k": K, "w_re": [[...]], "w_im": [[...]]}``, written by
-    :func:`_write_json`."""
+    :func:`_write_json` from the float64 views ``w.real`` and ``w.imag``
+    one block of rows at a time (as their lists, where they are not
+    float64 matrices)."""
     w = np.asarray(w)
-    doc = {
-        "n": w.shape[0],
-        "k": w.shape[1],
-        "w_re": w.real.tolist(),
-        "w_im": w.imag.tolist(),
-    }
+    doc = {"n": w.shape[0], "k": w.shape[1]}
+    for key, part in (("w_re", w.real), ("w_im", w.imag)):
+        doc[key] = part if _is_matrix(part) else part.tolist()
     _write_json(doc, path)
 
 
@@ -578,9 +673,12 @@ _SCALAR_TYPES = (str, int, float, bool, type(None))
 
 
 def _is_matrix(value) -> bool:
-    """Whether ``value`` is a non-empty list of non-empty lists of floats.
-    The types are exact, so no repr can differ between json's encoders, and
-    there are no ints, one of which could be too long to encode."""
+    """Whether ``value`` is a non-empty 2-D float64 array, or a non-empty
+    list of non-empty lists of floats. The types are exact, so no repr can
+    differ between json's encoders (an array's rows become lists of floats),
+    and there are no ints, one of which could be too long to encode."""
+    if type(value) is np.ndarray:
+        return value.ndim == 2 and value.size > 0 and value.dtype == np.float64
     if type(value) is not list or not value:
         return False
     types = set()
@@ -599,35 +697,18 @@ def _is_matrix(value) -> bool:
 # array, about 75 bytes a number, where a matrix decoded whole held its
 # text and lists at once.
 _BLOCK_NUMBERS = 2**14
+# Bytes of a file that the reader holds at a time (see _Window), unless one
+# block of rows is longer, and that a write copies at a time from the
+# child's file (see _split_write).
+_WINDOW_BYTES = 2**20
 
 
-def _matrix_pieces(matrix: list):
-    """:func:`_matrix_text` of ``matrix`` in pieces, each made when it is
-    asked for: the compact C encoding of blocks of rows of about
-    ``_BLOCK_NUMBERS`` numbers, widened as the whole text is and joined by
-    the row break that ``],[`` widens to."""
-    rows = max(1, _BLOCK_NUMBERS // len(matrix[0]))
-    yield "[\n  [\n   "
-    for start in range(0, len(matrix), rows):
-        text = _COMPACT.encode(matrix[start:start + rows])[2:-2]
-        text = text.replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
-        yield "\n  ],\n  [\n   " + text if start else text
-    yield "\n  ]\n ]"
-
-
-def _matrix_text(matrix: list) -> str:
-    """A matrix as ``json.dumps(..., indent=1)`` lays it out as a member of
-    a top-level object: the compact C encoding with every item break and
-    then every row break widened. Numbers hold no ',' or ']'."""
-    return "".join(_matrix_pieces(matrix))
-
-
-def _layout(doc) -> tuple[list[str], list[list], str]:
+def _layout(doc) -> tuple[list[str], list, str]:
     """``(heads, matrices, tail)``: ``json.dumps(doc, indent=1) + "\\n"`` is
-    ``heads[0]``, the :func:`_matrix_text` of ``matrices[0]``, ``heads[1]``
-    and so on, then ``tail``, raising what ``json.dumps`` raises. A document
-    other than an object of str keys and scalar or matrix values (see
-    :func:`_is_matrix`) is all tail."""
+    ``heads[0]``, the text of ``matrices[0]`` as that member of a top-level
+    object, ``heads[1]`` and so on, then ``tail``, raising what
+    ``json.dumps`` raises. A document other than an object of str keys and
+    scalar or matrix values (see :func:`_is_matrix`) is all tail."""
     if type(doc) is dict and doc:
         heads, matrices, text = [], [], "{"
         for i, (key, value) in enumerate(doc.items()):
@@ -647,67 +728,121 @@ def _layout(doc) -> tuple[list[str], list[list], str]:
     return [], [], json.dumps(doc, indent=1) + "\n"
 
 
+def _parts(heads: list[str], matrices: list, tail: str) -> list:
+    """The document of :func:`_layout` as parts in file order: each head and
+    the tail as text, each matrix as ``(matrix, start, stop)`` for its
+    blocks of rows of about ``_BLOCK_NUMBERS`` numbers, as the first row
+    counts them."""
+    parts = []
+    for head, matrix in zip(heads, matrices):
+        parts.append(head)
+        rows = max(1, _BLOCK_NUMBERS // len(matrix[0]))
+        parts.extend((matrix, start, min(start + rows, len(matrix)))
+                     for start in range(0, len(matrix), rows))
+    parts.append(tail)
+    return parts
+
+
+def _numbers(part) -> int:
+    """The numbers in a part of :func:`_parts`."""
+    if type(part) is str:
+        return 0
+    matrix, start, stop = part
+    if type(matrix) is np.ndarray:
+        return (stop - start) * matrix.shape[1]
+    return sum(map(len, matrix[start:stop]))
+
+
+def _part_text(part) -> str:
+    """The text of a part of :func:`_parts`. A block of rows is laid out as
+    ``json.dumps(..., indent=1)`` lays out a matrix member of a top-level
+    object: the compact C encoding of the rows' lists with every item break
+    and then every row break widened, after the matrix's opening or the
+    break from the row before, and before its closing if it is the last.
+    Numbers hold no ',' or ']'."""
+    if type(part) is str:
+        return part
+    matrix, start, stop = part
+    rows = matrix[start:stop]
+    text = _COMPACT.encode(rows.tolist() if type(rows) is np.ndarray else rows)[2:-2]
+    text = text.replace(",", ",\n   ").replace("],\n   [", "\n  ],\n  [\n   ")
+    text = ("\n  ],\n  [\n   " if start else "[\n  [\n   ") + text
+    return text + "\n  ]\n ]" if stop == len(matrix) else text
+
+
+def _write_parts(file, parts: list) -> int:
+    """Write the text of each part to ``file`` as it is made, and drop it;
+    the bytes written."""
+    return sum(file.write(_part_text(part).encode("ascii")) for part in parts)
+
+
 def _write_json(doc, path) -> None:
     """Write the bytes of ``json.dumps(doc, indent=1) + "\\n"`` to ``path``,
-    one piece of a matrix at a time. All but the matrices is encoded first
+    one block of rows at a time. All but the matrices is encoded first
     (see :func:`_layout`), so a document that cannot be encoded raises
-    before the file is opened; each piece of text is then written as
-    :func:`_matrix_texts` hands it out, and dropped."""
-    heads, matrices, tail = _layout(doc)
+    before the file is opened; the parts are then written in order, on two
+    CPUs where :func:`_split_write` finds it worthwhile."""
+    parts = _parts(*_layout(doc))
     with open(path, "wb") as file:
-        for head, pieces in zip(heads, _matrix_texts(matrices)):
-            file.write(head.encode("ascii"))
-            for piece in pieces:
-                file.write(piece.encode("ascii"))
-        file.write(tail.encode("ascii"))
+        _write_parts(file, _split_write(file, parts, path))
 
 
-# The matrices of a document with at least this many numbers in all are
-# encoded on two CPUs (see _matrix_texts). Fork, pinning, the pipe and the
-# reaping cost 10-15 ms; the C encoder takes 1.2-1.4 us per number on a
-# shared 2-vCPU x86-64 VM. Two N x 256 solution matrices there, 41
-# interleaved calls per size, split against serial by median: 2.07x as long
-# at 5,120 numbers, 0.98-1.18x at 20,480-51,200 and 0.80-0.88x from 76,800
-# on; a 1000 x 200 x 256 instance (912,000 numbers) took 0.78x.
+# A document with at least this many numbers in its matrices is written
+# on two CPUs (see _split_write). Fork, pinning, the pipe and the reaping
+# cost 10-15 ms; the C encoder takes 1.2-1.4 us per number on a shared
+# 2-vCPU x86-64 VM. Two N x 256 solution matrices there, 41 interleaved
+# calls per size, split against serial by median: 2.07x as long at 5,120
+# numbers, 0.98-1.18x at 20,480-51,200 and 0.80-0.88x from 76,800 on; a
+# 1000 x 200 x 256 instance (912,000 numbers) took 0.78x.
 _SPLIT_NUMBERS = 2**16
 
 
-def _matrix_texts(matrices: list[list]):
-    """The text of every matrix, in order, as an iterable of pieces made
-    when they are asked for (:func:`_matrix_pieces`). With at least
-    ``_SPLIT_NUMBERS`` numbers in all, two or more matrices and
-    :func:`workers._can_fork`, a forked child encodes every other matrix
-    while this process encodes the rest, and the whole texts are then
-    handed out one at a time; if that fails in any way, this process
-    encodes them all, so the text never depends on the split."""
-    if (
-        len(matrices) > 1
-        and sum(len(row) for matrix in matrices for row in matrix) >= _SPLIT_NUMBERS
-        and workers._can_fork()
-    ):
-        groups = [list(range(0, len(matrices), 2)), list(range(1, len(matrices), 2))]
+def _split_write(file, parts: list, path) -> list:
+    """Write the first parts to ``file`` on two CPUs where worthwhile; the
+    parts still to write.
 
-        def valid(texts, group) -> bool:
-            return (
-                isinstance(texts, list)
-                and len(texts) == len(group)
-                and all(isinstance(text, str) for text in texts)
-            )
+    With at least ``_SPLIT_NUMBERS`` numbers, two blocks of rows or more and
+    :func:`workers._can_fork`, the parts are cut at the block that halves
+    their numbers most evenly. A forked child writes the parts after the
+    cut to an unnamed temporary file next to ``path``, while this process
+    writes those before it to ``file``; the child's file is then copied
+    into ``file`` a window at a time, so neither process holds more than a
+    block's text. If the child fails in any way, the parts after the cut
+    are returned for this process to write, so the bytes never depend on
+    the split; an error of this process's own writing is raised."""
+    numbers = [_numbers(part) for part in parts]
+    total = sum(numbers)
+    cuts = [(max(done, total - done), i)
+            for i, done in enumerate(itertools.accumulate(numbers, initial=0))
+            if 0 < done < total]
+    if total < _SPLIT_NUMBERS or not cuts or not workers._can_fork():
+        return parts
+    cut = min(cuts)[1]
+    try:
+        spill = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path)))
+    except OSError:
+        return parts
+    with spill:
+        groups, done = [list(range(cut)), list(range(cut, len(parts)))], []
+
+        def run_group(group: list[int]):
+            if group[0]:  # in the child
+                with open(spill.fileno(), "wb", closefd=False) as out:
+                    return _write_parts(out, parts[cut:])
+            done.append(_write_parts(file, parts[:cut]))
+
+        def valid(sent, group) -> bool:
+            return type(sent) is int and sent == os.fstat(spill.fileno()).st_size
 
         try:
-            results = workers._run_groups(
-                groups, lambda group: [_matrix_text(matrices[i]) for i in group], valid
-            )
-        except Exception:  # a failed split only costs time: encode serially below
-            pass
-        else:
-            texts = dict(zip(groups[0] + groups[1], results[0] + results[1]))
-            del results
-            for i in range(len(matrices)):
-                yield (texts.pop(i),)
-            return
-    for matrix in matrices:
-        yield _matrix_pieces(matrix)
+            workers._run_groups(groups, run_group, valid)
+        except Exception:
+            if not done:
+                raise
+            return parts[cut:]  # the child failed: write its parts here
+        spill.seek(0)
+        shutil.copyfileobj(spill, file, _WINDOW_BYTES)
+    return []
 
 
 def solution_parts(path) -> tuple[np.ndarray, np.ndarray]:

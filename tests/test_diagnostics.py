@@ -140,6 +140,21 @@ class TestMonitorThm2:
         with pytest.raises(InputError):
             monitor_thm2([], 1e-3, 4.0)
 
+    @pytest.mark.parametrize("decreases", [[float("nan"), 1.0], [1.0, float("nan"), 1.0]],
+                             ids=["nan-first", "nan-after-a-finite-one"])
+    def test_nan_decrease_is_a_violation(self, decreases):
+        # min() and < are both false on NaN, so a NaN margin once passed
+        # with worst_slack = inf (or the finite margins' minimum).
+        trace = [
+            IterationRecord(iter=i, objective=1.0, decrease=d, grad_norm=0.0, step_norm=0.0,
+                            flops=0, elapsed_ns=0)
+            for i, d in enumerate(decreases)
+        ]
+        rep = monitor_thm2(trace, 1e-3, 4.0)
+        assert not rep.passed and np.isnan(rep.worst_slack)
+        [(idx, lhs, _, _)] = rep.violations
+        assert np.isnan(decreases[idx]) and np.isnan(lhs)
+
 
 class TestMonitorThm3:
     def _pgd_run(self, seed, frac):

@@ -583,6 +583,18 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "non-negative" in err and not out.exists()
 
+    def test_nan_descent_fails_the_thm2_monitor(self, tmp_path, capsys):
+        # A step of 1e160 overflows the first iterate, so the trace's
+        # decrease is NaN; that check once passed with worst_slack=inf.
+        inst = tmp_path / "g0.json"
+        main(["gen", "--seed", "0", "-o", str(inst)])
+        capsys.readouterr()
+        code = main(["check", str(inst), "--w-source", "gd", "--alpha", "1e160",
+                     "--monitors", "thm2"])
+        out = capsys.readouterr().out
+        assert code == EXIT_CHECK_FAILED
+        assert "monitor thm2-descent FAILED violations=1 worst_slack=nan" in out
+
     def test_rank_deficient_closed_form_is_a_one_line_error(self, tmp_path, capsys):
         inst = tmp_path / "r0.json"
         main(["gen", "--seed", "0", "--m", "4", "--n", "6", "--eta", "0.01", "-o", str(inst)])

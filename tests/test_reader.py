@@ -1,19 +1,21 @@
 """The JSON reader behind ``read_instance`` and ``read_solution``: a file
-below ``_SPLIT_CHARS`` goes whole to ``json.loads``, a larger one is read
-into an anonymous buffer and walked one member at a time, by one process
-or two, converting the named array fields as it goes and releasing their
-pages. Every path returns what ``json.loads`` returns (those fields
-converted as ``_float_array`` converts them) and raises the same errors:
-the walk in one process, the two-CPU split, a document either cannot
-take, a failed split and a file whose size changes while it is read; none
-leaves a process, a file descriptor or an open buffer behind. Also bounds
-the memory a read takes and smoke-tests ``tools/io_bench.py``."""
+below ``_SPLIT_CHARS`` goes whole to ``json.loads``, a larger one is
+walked one member at a time through a window of ``_WINDOW_BYTES``, then
+its named array fields are read again and converted one block of rows at
+a time, by one process or two. Every path returns what ``json.loads``
+returns (those fields converted as ``_float_array`` converts them) and
+raises the same errors: the walk in one process, the two-CPU split, a
+document either cannot take, a failed split and a file that changes while
+it is read; none leaves a process, a file descriptor or an open buffer
+behind. Also bounds the memory a read takes and what it reads at a time,
+and smoke-tests ``tools/io_bench.py``."""
 
 import contextlib
 import itertools
 import json
 import mmap
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -243,15 +245,55 @@ def test_reader_equals_json_loads_across_row_blocks(tmp_dir, doc):
             assert canonical(_read_json_object(path, kind)) == expected
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=documents())
+def test_reader_equals_json_loads_across_windows(tmp_dir, doc):
+    """A window of 8, 32 or 128 bytes: the walk crosses a seam between
+    windows inside keys, scalars, whitespace and matrices, a key or scalar
+    longer than the window is handed back to json.loads, and a block of
+    rows longer than the window grows the buffer."""
+    kind, text, _ = doc
+    path = write(tmp_dir, text)
+    expected = canonical(expected_document(path, kind))
+    for window, block, forced in itertools.product((8, 32, 128), (1, 5), PATHS):
+        with forced(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_WINDOW_BYTES", window)
+            patch.setattr(formats, "_BLOCK_NUMBERS", block)
+            assert canonical(_read_json_object(path, kind)) == expected
+
+
+@pytest.mark.parametrize("forced", [walk_forced, split_forced], ids=["walk", "split"])
+def test_walk_takes_instances_through_any_window(tmp_path, forks, forced):
+    """The walk itself, not the fallback to json.loads, reads an instance
+    file through windows shorter than a row (the buffer grows to hold a
+    block), about a block long and longer than the file, with blocks of
+    one row, five numbers and 400 numbers."""
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=30, n=3, k=20, seed=2), path)
+    expected = canonical(expected_document(path, "instance"))
+    walked, docs = formats._walked, []
+    for window, block in itertools.product((64, 500, 2**14, 2**20), (1, 5, 400)):
+        with forced(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_WINDOW_BYTES", window)
+            patch.setattr(formats, "_BLOCK_NUMBERS", block)
+            patch.setattr(formats, "_walked", lambda *args: docs.append(walked(*args)) or docs[-1])
+            assert canonical(_read_json_object(path, "instance")) == expected
+        assert docs.pop() is not None, (window, block)
+    _assert_reaped(forks)
+
+
 def _assert_same_error(tmp_dir, text, kind):
     """``json.loads`` of the whole file, the serial walk and the forced
-    split all raise what json.loads raises, as an InputError."""
+    split, through the whole window and through one of 32 bytes, all raise
+    what json.loads raises, as an InputError."""
     path = write(tmp_dir, text)
     with pytest.raises(ValueError) as reference:
         loads(path)
-    for forced in PATHS:
-        with forced(), pytest.raises(InputError) as info:
-            _read_json_object(path, kind)
+    for window, forced in itertools.product((formats._WINDOW_BYTES, 32), PATHS):
+        with forced(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_WINDOW_BYTES", window)
+            with pytest.raises(InputError) as info:
+                _read_json_object(path, kind)
         assert str(info.value) == f"{kind} file {path} is not valid JSON: {reference.value}"
 
 
@@ -341,39 +383,31 @@ def test_split_read_peak_memory_stays_near_the_file_size(tmp_path, forks):
 
 
 @pytest.mark.parametrize("block", [2**12, 2**14])
-def test_matrix_parse_memory_scales_with_the_block(monkeypatch, block):
+def test_matrix_parse_memory_scales_with_the_block(tmp_path, monkeypatch, block):
     """A 4000 x 64 matrix (5.9 MB of text) decoded whole held its text and
     nested lists at once, about 12 MB beyond its array. One block of rows at
     a time holds one block's text, lists and array, about 75 bytes a number
-    of the block."""
+    of the block; the window it is read into is an anonymous map, which the
+    trace does not see, and is bounded apart."""
     matrix = np.random.default_rng(7).uniform(-10.0, 10.0, (4000, 64))
-    text = formats._matrix_text(matrix.tolist()).encode("ascii")
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(matrix.tolist(), indent=1), encoding="ascii")
+    size = path.stat().st_size
     monkeypatch.setattr(formats, "_BLOCK_NUMBERS", block)
-    with mmap.mmap(-1, len(text), flags=mmap.MAP_PRIVATE) as buf:
-        buf[:] = text
+    with open(path, "rb") as file, formats._Window(file.fileno(), size) as w:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            array, end = formats._parsed_array(buf, 0, len(text))
+            array, end = formats._parsed_array(w, 0, size, len(matrix))
             peak = tracemalloc.get_traced_memory()[1] - before - array.nbytes
         finally:
             tracemalloc.stop()
-    assert end == len(text)
+    assert end == size
     assert array.tobytes() == matrix.tobytes()
     assert peak <= 128 * block, f"peak {peak / block:.0f} bytes a number of the block"
 
 
-# -- the buffer --------------------------------------------------------------
-
-def test_release_gives_back_whole_pages_only():
-    page = mmap.PAGESIZE
-    with mmap.mmap(-1, 4 * page, flags=mmap.MAP_PRIVATE) as buf:
-        buf[:] = b"x" * (4 * page)
-        formats._release(buf, page // 2, 3 * page + 1)
-        assert buf[:page] == b"x" * page  # shared with bytes outside the range
-        assert buf[page:3 * page] == bytes(2 * page)  # given back: reads as zeros
-        assert buf[3 * page:] == b"x" * page
-
+# -- the window --------------------------------------------------------------
 
 def _matrix_spans(path: Path, fields) -> list:
     """(start, end) of each field's matrix text in an instance file."""
@@ -382,97 +416,147 @@ def _matrix_spans(path: Path, fields) -> list:
     return [(start, text.index(b"\n ]", start) + 3) for start in starts]
 
 
-def _pages(start: int, end: int) -> set:
-    """The pages that lie wholly inside ``[start, end)``."""
-    return set(range(-(-start // mmap.PAGESIZE), end // mmap.PAGESIZE))
+@contextlib.contextmanager
+def recorded(log: Path):
+    """Within, every ``os.preadv``, ``os.pread`` and ``mmap.mmap`` call of
+    this process and of the children it forks appends a line to ``log``:
+    pid, call, then the file offset and byte count read, or the fileno,
+    length and flags mapped (flags -1 where none were given)."""
+    real_preadv, real_pread, real_mmap = os.preadv, os.pread, mmap.mmap
+
+    def note(*fields):
+        with open(log, "a") as out:
+            out.write(" ".join(map(str, (os.getpid(), *fields))) + "\n")
+
+    def preadv(fd, buffers, offset, *flags):
+        note("read", offset, sum(len(memoryview(b)) for b in buffers))
+        return real_preadv(fd, buffers, offset, *flags)
+
+    def pread(fd, count, offset):
+        note("read", offset, count)
+        return real_pread(fd, count, offset)
+
+    def mapping(fileno, length, *args, **kwargs):
+        note("map", fileno, length, kwargs.get("flags", -1))
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "preadv", preadv)
+        patch.setattr(os, "pread", pread)
+        patch.setattr(mmap, "mmap", mapping)
+        yield
+
+
+def _records(log: Path) -> list:
+    """The lines of a ``recorded`` log as (pid, call, int, int[, int])."""
+    if not log.exists():
+        return []
+    return [(int(pid), call, *map(int, rest))
+            for pid, call, *rest in (line.split() for line in log.read_text().splitlines())]
+
+
+def _runs(reads) -> list:
+    """Reads (offset, count) joined into the spans they cover back to back."""
+    runs = []
+    for offset, count in reads:
+        if runs and runs[-1][1] == offset:
+            runs[-1][1] += count
+        else:
+            runs.append([offset, offset + count])
+    return [tuple(run) for run in runs]
 
 
 @pytest.mark.parametrize("forced", [walk_forced, split_forced], ids=["walk", "split"])
 def test_each_matrix_is_released_when_no_process_needs_it(tmp_path, monkeypatch, forks, forced):
-    """The serial walk releases each matrix block by block as it parses it.
-    On the split, this process releases the child's matrices before it
-    parses its own. Either way the releases cover every whole page of each
-    matrix."""
+    """No process holds a matrix that it does not parse. This process reads
+    the file once from start to end, a window at a time; then each process
+    reads each matrix that it parses once more, back to back in group
+    order, and nothing else: on the split this process never reads the
+    child's matrices, nor the child this process's."""
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=60, n=40, k=50, seed=3), path)
-    spans = _matrix_spans(path, NAMED["instance"])
-    parent, released, release = os.getpid(), [], formats._release
-
-    def recording(buf, start, end):
-        if os.getpid() == parent:
-            released.append((start, end))
-        release(buf, start, end)
-
-    monkeypatch.setattr(formats, "_release", recording)
+    spans, size = _matrix_spans(path, NAMED["instance"]), path.stat().st_size
     monkeypatch.setattr(formats, "_BLOCK_NUMBERS", 400)  # 6 or 8 blocks of rows a matrix
-    with forced():
+    monkeypatch.setattr(formats, "_WINDOW_BYTES", 2**14)  # 16 windows for the walk
+    log, walked, docs = tmp_path / "calls.log", formats._walked, []
+    monkeypatch.setattr(formats, "_walked", lambda *args: docs.append(walked(*args)) or docs[-1])
+    with forced(), recorded(log):
         _, loaded = read_instance(path)
-    assert canonical(loaded) == canonical(expected_document(path, "instance"))
-    owners = [next((i for i, (s, e) in enumerate(spans) if s <= start and end <= e), None)
-              for start, end in released]
-    seen = [i for i in owners if i is not None]
-    runs = [i for j, i in enumerate(seen) if not j or seen[j - 1] != i]  # one matrix at a time
-    assert runs == ([0, 1, 2, 3] if forced is walk_forced else [1, 3, 0, 2])
-    parsed_here = [0, 1, 2, 3] if forced is walk_forced else [0, 2]
-    for i, (start, end) in enumerate(spans):
-        mine = [span for span, owner in zip(released, owners) if owner == i]
-        assert _pages(start, end) <= set().union(*(_pages(*span) for span in mine))
-        assert len(mine) > 1 if i in parsed_here else mine == [(start, end)]
+    assert docs[0] is not None and canonical(loaded) == canonical(
+        expected_document(path, "instance"))
+    reads = {}
+    for pid, call, *fields in _records(log):
+        if call == "read":
+            reads.setdefault(pid, []).append(tuple(fields))
+    assert all(count <= 2**14 for process in reads.values() for _, count in process)
+    parent = reads.pop(os.getpid())
+    walk = next(i for i in range(len(parent) + 1) if _runs(parent[:i]) == [(0, size)])
+    spans = [(start + 1, end) for start, end in spans]  # the walk has seen each '['
+    if forced is walk_forced:
+        assert _runs(parent[walk:]) == spans and not reads
+    else:
+        assert _runs(parent[walk:]) == [spans[0], spans[2]]
+        assert [_runs(child) for child in reads.values()] == [[spans[1], spans[3]]]
+        assert list(reads) == forks
 
 
-# Rewrites of an instance file between the reader's fstat and its read.
-REWRITES = {
-    "cut-in-a-matrix": lambda text: text[:len(text) // 2],
-    "emptied": lambda text: "",
-    "grown-by-whitespace": lambda text: text + "\n" * 5000,
-    "grown-by-a-member": lambda text: text[:-3] + ',\n "x": 1\n}\n',
-    "grown-by-garbage": lambda text: text + "x",
-    "rewritten-shorter": lambda text: json.dumps({"m": 1, "h_re": [[1.0]], "h_im": [[2.0]]}),
-    "same-size": lambda text: text.replace("5", "6"),
-}
+def _rows(path: Path) -> list:
+    """The length of each row of numbers in a file without strings."""
+    return [len(row) for row in re.findall(rb"\[[^\[\]]*\]", path.read_bytes())]
 
 
 @pytest.mark.parametrize("forced", [walk_forced, split_forced], ids=["walk", "split"])
-@pytest.mark.parametrize("rewrite", REWRITES.values(), ids=REWRITES)
-def test_size_change_while_read_gives_what_json_loads_gives(tmp_path, monkeypatch, forced,
-                                                            rewrite):
-    """A read that comes up short, or a file that has grown, is decoded
-    whole: the result is json.loads's of the file as it then is, or the same
-    InputError, and the reader never maps the file, so it cannot crash."""
+@pytest.mark.parametrize("rows", ["narrow", "wide"])
+def test_reads_and_buffers_hold_a_window_or_a_block(tmp_path, forks, forced, rows):
+    """Every read of every process asks for at most one window, the file is
+    never mapped, and every buffer of file text is an anonymous private map
+    of one window; where a block of rows is longer than the window (a row of
+    2000 numbers against a 16 kB window), the buffer grows to hold it and
+    at most one window more. The one shared map is the split's, for the
+    arrays the child parses."""
     path = tmp_path / "inst.json"
-    write_instance(gen_instance(m=20, n=10, k=12, seed=4), path)
-    new_text, real_fstat, calls = rewrite(path.read_text()), os.fstat, []
-
-    def fstat(fd):
-        result = real_fstat(fd)
-        if not calls:
-            calls.append(fd)
-            path.write_text(new_text, encoding="ascii")
-        return result
-
-    fds = _open_fds()
-    with forced():
-        monkeypatch.setattr(os, "fstat", fstat)
-        try:
-            got = _read_json_object(path, "instance")
-        except InputError as exc:
-            got = exc
-        monkeypatch.setattr(os, "fstat", real_fstat)
-    assert calls and _open_fds() == fds
-    try:
-        expected = canonical(expected_document(path, "instance"))
-    except ValueError as exc:
-        assert str(got) == f"instance file {path} is not valid JSON: {exc}"
+    if rows == "narrow":
+        write_instance(gen_instance(m=60, n=40, k=50, seed=3), path)
     else:
-        assert canonical(got) == expected
+        doc = gen_instance(m=3, n=2000, k=1500, seed=3)
+        write_instance(doc, path)
+    window, log, walked, docs = 2**14, tmp_path / "calls.log", formats._walked, []
+    with forced(), recorded(log), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_BLOCK_NUMBERS", 400)
+        patch.setattr(formats, "_WINDOW_BYTES", window)
+        patch.setattr(formats, "_walked", lambda *args: docs.append(walked(*args)) or docs[-1])
+        _, loaded = read_instance(path)
+    assert docs[0] is not None and canonical(loaded) == canonical(
+        expected_document(path, "instance"))
+    records = _records(log)
+    reads = [count for _, call, _, count in (r for r in records if r[1] == "read")]
+    maps = [r[2:] for r in records if r[1] == "map"]
+    assert reads and max(reads) <= window
+    assert all(fileno == -1 for fileno, _, _ in maps)  # never a map of the file
+    private = [length for _, length, flags in maps if flags == mmap.MAP_PRIVATE]
+    shared = [length for _, length, flags in maps if flags != mmap.MAP_PRIVATE]
+    assert len(shared) == (forced is split_forced)
+    assert shared == [] or shared[0] == sum(8 * ((e - s) // 2) for s, e in
+                                            _matrix_spans(path, ("h_im", "a_im")))
+    longest = max(_rows(path))
+    assert private[0] == window
+    if rows == "narrow":
+        assert longest < window and private == [window]
+    else:
+        assert longest > window and window < max(private) <= longest + window
 
 
 def test_buffer_is_anonymous_and_closed_on_every_path(tmp_path, monkeypatch, forks):
+    """Each walk of the file makes one buffer in this process, an anonymous
+    private map as long as the window (or the file, where that is shorter),
+    and closes it on every path: a document the walk takes, one it does
+    not, a failed child. The only other map is the split's shared one for
+    the child's arrays."""
     made, real_mmap, parent = [], mmap.mmap, os.getpid()
 
     def recording(fileno, length, **kwargs):
         buf = real_mmap(fileno, length, **kwargs)
-        made.append((fileno, kwargs.get("flags"), buf))
+        made.append((fileno, length, kwargs.get("flags"), buf))
         return buf
 
     monkeypatch.setattr(mmap, "mmap", recording)
@@ -489,19 +573,95 @@ def test_buffer_is_anonymous_and_closed_on_every_path(tmp_path, monkeypatch, for
             yield
 
     fds = _open_fds()
-    for path, forced in itertools.product((good, bad), PATHS + (child_fails,)):
+    for path, forced, window in itertools.product(
+            (good, bad), PATHS + (child_fails,), (formats._WINDOW_BYTES, 2**12)):
         made.clear()
-        with forced():
+        with forced(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_WINDOW_BYTES", window)
+            patch.setattr(formats, "_BLOCK_NUMBERS", 40)  # 4 rows, well within a window
             try:
                 _read_json_object(path, "instance")
             except InputError:
                 assert path == bad
-        buffers = [buf for fileno, flags, buf in made if flags is not None]  # the private ones
-        assert len(buffers) == (forced is not contextlib.nullcontext)
-        assert all(fileno == -1 for fileno, _, _ in made)
-        assert all(buf.closed for buf in buffers)
+        buffers = [(length, buf) for _, length, flags, buf in made if flags is not None]
+        walked = forced is not contextlib.nullcontext
+        if walked and path == bad and window < path.stat().st_size:
+            # '}' for ']' makes "rows" longer than the window: the buffer grows
+            assert len(buffers) > 1 and buffers[-1][0] > window
+        else:
+            assert len(buffers) == walked
+        assert all(fileno == -1 for fileno, _, _, _ in made)
+        assert all(flags in (None, mmap.MAP_PRIVATE) for _, _, flags, _ in made)
+        assert not walked or buffers[0][0] == min(window, path.stat().st_size)
+        assert all(buf.closed for _, buf in buffers)
         assert _open_fds() == fds
     _assert_reaped(forks)
+
+
+# Rewrites of an instance file, and when they land: between the reader's
+# first fstat and the walk ("walk"), or between the walk and the parse of
+# the matrices ("parse").
+REWRITES = {
+    "cut-in-a-matrix": ("walk", lambda text: text[:len(text) // 2]),
+    "emptied": ("walk", lambda text: ""),
+    "grown-by-whitespace": ("walk", lambda text: text + "\n" * 5000),
+    "grown-by-a-member": ("walk", lambda text: text[:-3] + ',\n "x": 1\n}\n'),
+    "grown-by-garbage": ("walk", lambda text: text + "x"),
+    "rewritten-shorter": ("walk", lambda text: SHORTER),
+    "same-size": ("walk", lambda text: text.replace("5", "6")),
+    "cut-before-the-parse": ("parse", lambda text: text[:len(text) // 2]),
+    "shorter-before-the-parse": ("parse", lambda text: SHORTER),
+    "grown-before-the-parse": ("parse", lambda text: text[:-3] + ',\n "x": 1\n}\n'),
+    "same-size-before-the-parse": ("parse", lambda text: text.replace("5", "6")),
+    "same-size-scalar-before-the-parse": ("parse", lambda text: text.replace(
+        '"seed": 4', '"seed": 5')),
+}
+SHORTER = json.dumps({"m": 1, "h_re": [[1.0]], "h_im": [[2.0]]})
+
+
+@pytest.mark.parametrize("forced", [walk_forced, split_forced], ids=["walk", "split"])
+@pytest.mark.parametrize("rewrite", REWRITES.values(), ids=REWRITES)
+def test_size_change_while_read_gives_what_json_loads_gives(tmp_path, monkeypatch, forced,
+                                                            rewrite):
+    """A read that comes up short, a file that has grown and a file that
+    is not the one the reader first saw (its size, mtime or inode differ
+    once every process has read it) are decoded whole: the result is
+    json.loads's of the file as it then is, or the same InputError, and the
+    reader never maps the file, so it cannot crash. With a rewrite between
+    the walk and the parse, the walk's scalars and the parsed matrices come
+    from different files unless that check catches it."""
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=20, n=10, k=12, seed=4), path)
+    when, rewrite = rewrite
+    new_text, calls = rewrite(path.read_text()), []
+    assert new_text != path.read_text()
+    module, name = (os, "fstat") if when == "walk" else (workers, "_run_groups")
+    real = getattr(module, name)
+
+    def rewriting(*args):
+        if not calls:
+            result = real(*args) if when == "walk" else None
+            calls.append(when)
+            path.write_text(new_text, encoding="ascii")
+            if when == "walk":
+                return result
+        return real(*args)
+
+    fds = _open_fds()
+    with forced():
+        monkeypatch.setattr(module, name, rewriting)
+        try:
+            got = _read_json_object(path, "instance")
+        except InputError as exc:
+            got = exc
+        monkeypatch.setattr(module, name, real)
+    assert calls and _open_fds() == fds
+    try:
+        expected = canonical(expected_document(path, "instance"))
+    except ValueError as exc:
+        assert str(got) == f"instance file {path} is not valid JSON: {exc}"
+    else:
+        assert canonical(got) == expected
 
 
 # -- the two-CPU split -------------------------------------------------------

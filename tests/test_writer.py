@@ -1,13 +1,16 @@
 """The JSON writer behind ``write_instance`` and ``write_solution``: the
 bytes are ``json.dumps(doc, indent=1) + "\\n"`` on the C-encoded path, on
-its two-CPU split, in blocks of rows of any size and on every document the
-fast path hands back to ``json.dumps``; a failed split falls back to the
-same bytes and leaves no process behind; a document that cannot be encoded
-leaves the file as it was; this process encodes a matrix a block at a time,
-so its memory peak stays below the matrix's text."""
+its two-CPU split, in blocks of rows of any size, from lists or from
+float64 arrays, and on every document the fast path hands back to
+``json.dumps``; a failed split falls back to the same bytes and leaves no
+process or file behind, and an error of this process's own writing is
+raised; a document that cannot be encoded leaves the file as it was; a
+matrix is encoded a block at a time, so the memory peak stays below the
+matrix's text, and a solution's matrices are never whole lists."""
 
 import json
 import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -191,18 +194,18 @@ def _open_fds():
 def test_failed_child_falls_back_to_the_serial_bytes(tmp_path, monkeypatch, split_everything,
                                                      forks, how):
     parent = os.getpid()
-    matrix_text = formats._matrix_text
+    write_parts = formats._write_parts
 
-    def failing(matrix):
+    def failing(file, parts):
         if os.getpid() != parent:
             if how == "raise":
                 raise ValueError("encoder failed")
             if how == "exit":
                 os._exit(1)
-            return 7
-        return matrix_text(matrix)
+            return write_parts(file, parts) + 1  # not what its file holds
+        return write_parts(file, parts)
 
-    monkeypatch.setattr(formats, "_matrix_text", failing)
+    monkeypatch.setattr(formats, "_write_parts", failing)
     doc = gen_instance(m=6, n=3, k=4, seed=11)
     fds = _open_fds()
     affinity = os.sched_getaffinity(0)
@@ -212,3 +215,71 @@ def test_failed_child_falls_back_to_the_serial_bytes(tmp_path, monkeypatch, spli
         os.waitpid(forks[0], os.WNOHANG)
     assert _open_fds() == fds
     assert os.sched_getaffinity(0) == affinity
+
+
+def test_an_error_of_this_process_is_raised_on_the_split(tmp_path, monkeypatch,
+                                                           split_everything, forks):
+    """A failed child hands its parts back; a failed write here is not
+    hidden by writing the child's parts after it."""
+    parent = os.getpid()
+    write_parts = formats._write_parts
+
+    def failing(file, parts):
+        if os.getpid() == parent:
+            raise OSError(28, "No space left on device")
+        return write_parts(file, parts)
+
+    monkeypatch.setattr(formats, "_write_parts", failing)
+    with pytest.raises(OSError, match="No space left"):
+        write_instance(gen_instance(m=6, n=3, k=4, seed=11), tmp_path / "doc.json")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+SHAPES = {"1x1": (1, 1), "Nx1": (7, 1), "1xK": (1, 9), "NxK": (6, 5)}
+
+
+@pytest.mark.parametrize("path", ["serial", "split"])
+@pytest.mark.parametrize("block", [1, 3, 2**14])
+@pytest.mark.parametrize("shape", SHAPES.values(), ids=SHAPES)
+def test_solution_from_arrays_writes_the_bytes_of_json_dumps(tmp_path, monkeypatch, forks,
+                                                             shape, block, path):
+    """``write_solution`` encodes the float64 views ``w.real`` and
+    ``w.imag`` a block of rows at a time; the bytes are those of the
+    document of their lists, across every seam between blocks, with signed
+    zeros, subnormals, infinities and NaN."""
+    rng = np.random.default_rng(sum(shape))
+    w = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    specials = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                complex(5e-324, -1e308), complex(float("inf"), float("nan"))]
+    w.flat[:len(specials)] = specials[:w.size]
+    monkeypatch.setattr(formats, "_BLOCK_NUMBERS", block)
+    monkeypatch.setattr(formats, "_SPLIT_NUMBERS", 1 if path == "split" else 2**62)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+    write_solution(w, tmp_path / "w.json")
+    assert (tmp_path / "w.json").read_bytes() == _reference(_solution_doc(w))
+    assert len(forks) == (path == "split")
+
+
+def test_solution_write_holds_no_whole_matrix_lists(tmp_path, monkeypatch):
+    """A 200 x 256 solution written from ``w.real.tolist()`` and
+    ``w.imag.tolist()`` held both matrices' lists, 3.3 MB, and peaked at
+    3.9 MB with blocks of 2^12 numbers; from the arrays, one block's lists
+    and text at a time, it peaks at about 0.56 MB."""
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((200, 256)) + 1j * rng.standard_normal((200, 256))
+    lists = w.real.tolist()
+    one_matrix = sys.getsizeof(lists) + sum(
+        sys.getsizeof(row) + sum(map(sys.getsizeof, row)) for row in lists)
+    del lists
+    monkeypatch.setattr(formats, "_BLOCK_NUMBERS", 2**12)
+    monkeypatch.setattr(workers, "_can_fork", lambda: False)
+    tracemalloc.start()
+    try:
+        write_solution(w, tmp_path / "w.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_matrix / 2, f"peak {peak / one_matrix:.2f}x one matrix's lists"
+    assert (tmp_path / "w.json").read_bytes() == _reference(_solution_doc(w))
