@@ -530,17 +530,18 @@ def _split_walk(w: _Window, arrays, processes: int) -> dict | None:
 # on two CPUs when forking is safe (see _walked); a smaller one is decoded
 # whole for json.loads. Reading two N x 256 solution matrices (about 23.7
 # bytes a number) on a shared 2-vCPU x86-64 VM, split against the
-# one-process walk by the median of 61 interleaved reads, over 5 to 17 runs
-# a size: 1.15-5.7x as long up to 0.24 MB; at 0.48, 0.73, 0.97 and 1.45 MB
-# it lost 6 of 7, 2 of 12, 1 of 12 and 2 of 17 runs (up to 1.51x), and won
-# 5 of 5 at 1.21 MB; from 1.94 MB on it won every run (0.59-0.97x), save
-# one tie (1.00x) at 2.42 MB. The one-process walk reads no faster than
-# json.loads (1.04-1.09x as long from 0.06 to 1.9 MB, 0.96-1.00x at 2.4-4.8
-# MB): what it saves is memory. Under tracemalloc a 3.8 MB instance read
-# whole for json.loads peaks at 2.45x the file size, walked by this process
-# alone at 0.74x and on two CPUs at 0.56x (the arrays and the complex H and
-# A; it was 0.99x and 0.82x with one matrix's text and lists at a time);
-# below this size that saving is at most about 3.3 MB.
+# one-process walk by the median of 61 interleaved reads, in 4 runs through
+# the window: 0.88-1.01x as long at 0.97 MB, 0.69-0.92x at 1.21 MB,
+# 0.69-1.30x at 1.45 MB, 0.77-1.09x at 1.70 MB, 0.70-1.06x at 1.94 MB,
+# 0.67-0.93x at 2.18 MB and 0.65-1.04x at 2.42 MB: no size where it turns,
+# so the gate stays where the whole-file buffer put it (there the split
+# lost 6 of 7 runs at 0.48 MB and won every run from 1.94 MB on). The
+# one-process walk reads no faster than json.loads (1.05-1.10x as long from
+# 0.97 to 2.42 MB): what it saves is memory. Under tracemalloc a 3.8 MB
+# instance read whole for json.loads peaks at 2.45x the file size, walked
+# by this process alone at 0.74x and on two CPUs at 0.56x (the arrays and
+# the complex H and A; the window is an anonymous map, which the trace does
+# not see); below this size that saving is at most about 3.3 MB.
 _SPLIT_CHARS = 1_900_000
 
 
@@ -789,11 +790,15 @@ def _write_json(doc, path) -> None:
 
 # A document with at least this many numbers in its matrices is written
 # on two CPUs (see _split_write). Fork, pinning, the pipe and the reaping
-# cost 10-15 ms; the C encoder takes 1.2-1.4 us per number on a shared
-# 2-vCPU x86-64 VM. Two N x 256 solution matrices there, 41 interleaved
-# calls per size, split against serial by median: 2.07x as long at 5,120
-# numbers, 0.98-1.18x at 20,480-51,200 and 0.80-0.88x from 76,800 on; a
-# 1000 x 200 x 256 instance (912,000 numbers) took 0.78x.
+# cost 10-15 ms, and the child's half of the text is copied once more; the
+# C encoder takes 1.2-1.4 us per number on a shared 2-vCPU x86-64 VM. Two
+# N x 256 solution matrices there, 41 interleaved calls per size in 2 runs,
+# split against serial by median: 1.31-1.93x as long at 5,120 numbers,
+# 0.96-1.02x at 10,240, 0.77-0.86x at 20,480 and 30,720, and 0.59-0.74x
+# from 51,200 on; a 1000 x 200 x 256 instance (912,000 numbers) took
+# 0.54-0.58x. So the gate is on the safe side: it was set where a split
+# that sent the child's texts back over the pipe began to win (0.98-1.18x
+# at 20,480-51,200 numbers, 0.80-0.88x from 76,800 on).
 _SPLIT_NUMBERS = 2**16
 
 
@@ -806,16 +811,18 @@ def _split_write(file, parts: list, path) -> list:
     their numbers most evenly. A forked child writes the parts after the
     cut to an unnamed temporary file next to ``path``, while this process
     writes those before it to ``file``; the child's file is then copied
-    into ``file`` a window at a time, so neither process holds more than a
-    block's text. If the child fails in any way, the parts after the cut
+    into ``file`` ``_WINDOW_BYTES`` at a time, so neither process holds more
+    than a block's text or that much of the child's. If the child fails in any way, the parts after the cut
     are returned for this process to write, so the bytes never depend on
     the split; an error of this process's own writing is raised."""
     numbers = [_numbers(part) for part in parts]
     total = sum(numbers)
+    if total < _SPLIT_NUMBERS or not workers._can_fork():
+        return parts
     cuts = [(max(done, total - done), i)
             for i, done in enumerate(itertools.accumulate(numbers, initial=0))
             if 0 < done < total]
-    if total < _SPLIT_NUMBERS or not cuts or not workers._can_fork():
+    if not cuts:
         return parts
     cut = min(cuts)[1]
     try:

@@ -515,11 +515,8 @@ def test_reads_and_buffers_hold_a_window_or_a_block(tmp_path, forks, forced, row
     at most one window more. The one shared map is the split's, for the
     arrays the child parses."""
     path = tmp_path / "inst.json"
-    if rows == "narrow":
-        write_instance(gen_instance(m=60, n=40, k=50, seed=3), path)
-    else:
-        doc = gen_instance(m=3, n=2000, k=1500, seed=3)
-        write_instance(doc, path)
+    m, n, k = (60, 40, 50) if rows == "narrow" else (3, 2000, 1500)
+    write_instance(gen_instance(m=m, n=n, k=k, seed=3), path)
     window, log, walked, docs = 2**14, tmp_path / "calls.log", formats._walked, []
     with forced(), recorded(log), pytest.MonkeyPatch.context() as patch:
         patch.setattr(formats, "_BLOCK_NUMBERS", 400)
@@ -529,7 +526,7 @@ def test_reads_and_buffers_hold_a_window_or_a_block(tmp_path, forks, forced, row
     assert docs[0] is not None and canonical(loaded) == canonical(
         expected_document(path, "instance"))
     records = _records(log)
-    reads = [count for _, call, _, count in (r for r in records if r[1] == "read")]
+    reads = [r[3] for r in records if r[1] == "read"]
     maps = [r[2:] for r in records if r[1] == "map"]
     assert reads and max(reads) <= window
     assert all(fileno == -1 for fileno, _, _ in maps)  # never a map of the file
