@@ -190,7 +190,8 @@ def expected_document(path: Path, kind: str) -> dict:
 
 @contextlib.contextmanager
 def walk_forced():
-    """Every read within walks the file's buffer in this process alone."""
+    """Every read within walks the file through its window in this process
+    alone."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(formats, "_SPLIT_CHARS", 0)
         patch.setattr(workers, "_can_fork", lambda: False)
@@ -360,10 +361,10 @@ def test_read_peak_memory_stays_near_the_file_size(tmp_path, monkeypatch):
     """Parsing all of a document into lists before converting peaked at
     about 2.45x the file size, holding the file's bytes and text while
     converting each field as it was parsed at 2.00x, and the text and lists
-    of one matrix at a time at 0.99x. The file's buffer is an anonymous map,
-    which the trace does not see; with one block of rows at a time the peak
-    is the four arrays and the complex H and A built from them, about
-    0.74x. Serial path."""
+    of one matrix at a time at 0.99x. The window the file is read through is
+    an anonymous map, which the trace does not see; with one block of rows
+    at a time the peak is the four arrays and the complex H and A built
+    from them, about 0.74x. Serial path."""
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
     monkeypatch.setattr(workers, "_can_fork", lambda: False)

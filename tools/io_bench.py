@@ -20,9 +20,9 @@ rounds:
 
 * ``split``: the matrices parsed on two CPUs, this process and a forked
   child (``formats._SPLIT_CHARS`` set to 0);
-* ``walk`` (``serial`` in ``read_split``): the same walk of the file's
-  buffer in this process alone, the path of hosts that cannot fork
-  (``formats._SPLIT_CHARS`` set to 0 and ``workers._can_fork`` false);
+* ``walk`` (``serial`` in ``read_split``): the same walk of the file
+  through its window in this process alone, the path of hosts that cannot
+  fork (``formats._SPLIT_CHARS`` set to 0 and ``workers._can_fork`` false);
 * ``loads``: ``json.loads`` of the whole file (``formats._SPLIT_CHARS`` set
   to infinity).
 
