@@ -789,17 +789,15 @@ def _write_json(doc, path) -> None:
 
 
 # A document with at least this many numbers in its matrices is written
-# on two CPUs (see _split_write). Fork, pinning, the pipe and the reaping
-# cost 10-15 ms, and the child's half of the text is copied once more; the
-# C encoder takes 1.2-1.4 us per number on a shared 2-vCPU x86-64 VM. Two
-# N x 256 solution matrices there, 41 interleaved calls per size in 2 runs,
-# split against serial by median: 1.31-1.93x as long at 5,120 numbers,
-# 0.96-1.02x at 10,240, 0.77-0.86x at 20,480 and 30,720, and 0.59-0.74x
-# from 51,200 on; a 1000 x 200 x 256 instance (912,000 numbers) took
-# 0.54-0.58x. So the gate is on the safe side: it was set where a split
-# that sent the child's texts back over the pipe began to win (0.98-1.18x
-# at 20,480-51,200 numbers, 0.80-0.88x from 76,800 on).
-_SPLIT_NUMBERS = 2**16
+# on two CPUs (see _split_write). Fork, pinning, the temporary file and the
+# reaping cost about 5 ms, and the child's half of the text is copied once
+# more; a serial write takes 0.65-0.75 us per number on a shared 2-vCPU
+# x86-64 VM. Two N x 256 solution matrices there, 41 interleaved calls per
+# size in 2 runs, split against serial by median: 1.81-2.11x as long at 5,120
+# numbers, 1.23-1.37x at 10,240, 1.11-1.13x at 15,360, 1.01-1.11x at 20,480,
+# 0.93-0.99x at 25,600, 0.87-0.90x at 30,720 and 0.75-0.88x from 35,840 to
+# 65,536. The gate is the smallest size at which the split won both runs.
+_SPLIT_NUMBERS = 25_600
 
 
 def _split_write(file, parts: list, path) -> list:

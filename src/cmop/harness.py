@@ -4,7 +4,9 @@ The file formats and instance generation live in :mod:`cmop.formats`, the
 forked workers in :mod:`cmop.workers`. Every file, objective and solver
 function the orchestration calls is bound in this module and called
 through that binding, so replacing ``cmop.harness.read_instance`` (say)
-reaches every call it makes.
+reaches every call it makes. A run keeps only the problem that
+``read_instance`` returns: the parsed document, a second copy of H and A,
+is freed before ``precompute``.
 
 Step-size sweeps on small instances run their steps in forked worker
 processes, each pinned to one CPU in ascending CPU order, when forking is
@@ -30,6 +32,7 @@ from .errors import (
     InputError,
 )
 from .formats import (  # default_seed, gen_instance, write_instance: imported from here
+    _complex,
     _write_lines,
     default_seed,  # noqa: F401
     gen_instance,  # noqa: F401
@@ -75,9 +78,10 @@ SWEEP_COLUMNS = (
 
 def read_solution(path):
     """Read a solution file as a complex N x K matrix (see
-    :func:`cmop.formats.solution_parts`)."""
+    :func:`cmop.formats.solution_parts`), with the bits of
+    ``w_re + 1j * w_im`` built in one complex buffer."""
     w_re, w_im = solution_parts(path)
-    return cmatrix(w_re + 1j * w_im)
+    return cmatrix(_complex(w_re, w_im))
 
 
 def parse_alpha_spec(text: str):
@@ -194,7 +198,7 @@ def run_experiment(
     time_iterations: bool = False,
 ) -> tuple[SolveResult, ExperimentSummary]:
     """Load an instance, run one solver, export the trace, print a summary."""
-    instance, _ = read_instance(instance_path)
+    instance = read_instance(instance_path)[0]
     pre = precompute(instance)
     config, resolved = _configure(
         pre, method, alpha_spec, tau=tau, max_iter=max_iter, time_iterations=time_iterations
@@ -268,7 +272,7 @@ def run_check(
         raise InputError("no monitors requested")
     _check_monitor_validity(w_source, monitors)
     seed = resolve_seed(seed)
-    instance, _ = read_instance(instance_path)
+    instance = read_instance(instance_path)[0]
     pre = precompute(instance)
     ball = RowBall.for_power_budget(instance.eta)
     if w_source == "file":
@@ -377,7 +381,7 @@ def run_sweep(
         raise InputError(f"sweep supports iterative methods only, got {method!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    instance, _ = read_instance(instance_path)
+    instance = read_instance(instance_path)[0]
     pre = precompute(instance)
 
     rows, steps = [], {}  # steps: row index -> (config, resolved step)

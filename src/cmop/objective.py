@@ -15,7 +15,6 @@ import numpy as np
 from .cmat import (
     ComplexMatrix,
     RealVector,
-    adjoint_product,
     cmatrix,
     frob_norm,
     re_frob_inner,
@@ -99,9 +98,10 @@ def precompute(instance: ProblemInstance) -> Precomputed:
     closed form uses to detect a singular G. Data so large that G or B
     overflows float64 raise InputError.
     """
+    h_adj = instance.h.conj().T  # H^H once; G and B keep cmat.adjoint_product's bits
     with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        g = adjoint_product(instance.h, instance.h)
-        b = adjoint_product(instance.h, instance.a)
+        g = np.ascontiguousarray(h_adj @ instance.h)
+        b = np.ascontiguousarray(h_adj @ instance.a)
     if not (np.isfinite(g).all() and np.isfinite(b).all()):
         raise InputError("H^H H or H^H A overflows float64: the instance's entries are too large")
     eig = np.linalg.eigvalsh(g)

@@ -4,11 +4,14 @@ its exit-status contract."""
 
 import collections
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from cmop import (
+    adjoint_product,
+    cmatrix,
     gen_instance,
     instance_from_document,
     precompute,
@@ -29,6 +32,29 @@ from cmop.errors import InputError
 from cmop.harness import METHODS, default_seed, iterations_to_threshold, parse_alpha_spec
 from cmop.solvers import SolverConfig, gd_solve
 from helpers import make_instance, read_trace, zero_w
+
+
+# (m, n, k, signed zeros): random instances, one with N > M, and one whose
+# corner entries are zeros of all four sign pairs (re, im).
+BIT_CASES = {
+    "random": (6, 3, 4, False),
+    "n-above-m": (3, 5, 7, False),
+    "signed-zeros": (6, 3, 4, True),
+}
+
+
+def bit_case_document(m, n, k, zeros):
+    doc = gen_instance(m=m, n=n, k=k, seed=m + n + k)
+    for field in ("h_re", "h_im", "a_re", "a_im"):
+        doc[field] = np.asarray(doc[field])
+        if zeros:
+            doc[field][:2, :2] = ([[-0.0, 0.0], [-0.0, 0.0]] if field.endswith("re")
+                                  else [[-0.0, -0.0], [0.0, 0.0]])
+    return doc
+
+
+def bits(x) -> bytes:
+    return np.ascontiguousarray(x).view(np.uint64).tobytes()
 
 
 @pytest.fixture
@@ -95,6 +121,23 @@ class TestInstanceRoundTrip:
             expected = doc[f"{x}_re"] + 1j * doc[f"{x}_im"]
             assert got.view(np.uint64).tobytes() == expected.view(np.uint64).tobytes()
         assert np.signbit(instance.h.real[1, 0]) and not np.signbit(instance.h.imag[1, 0])
+
+    @pytest.mark.parametrize("case", BIT_CASES.values(), ids=BIT_CASES)
+    def test_precompute_has_the_bits_of_adjoint_product(self, case):
+        instance = instance_from_document(bit_case_document(*case))
+        pre = precompute(instance)
+        assert bits(pre.g) == bits(adjoint_product(instance.h, instance.h))
+        assert bits(pre.b) == bits(adjoint_product(instance.h, instance.a))
+        assert pre.g.flags.c_contiguous and pre.b.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", BIT_CASES.values(), ids=BIT_CASES)
+    def test_read_solution_has_the_bits_of_re_plus_1j_im(self, tmp_path, case):
+        doc = bit_case_document(*case)
+        w_re, w_im = doc["a_re"], doc["a_im"]
+        path = tmp_path / "w.json"
+        n, k = w_re.shape
+        path.write_text(json.dumps({"n": n, "k": k, "w_re": w_re.tolist(), "w_im": w_im.tolist()}))
+        assert bits(read_solution(path)) == bits(cmatrix(w_re + 1j * w_im))
 
     def test_missing_field_named(self, tmp_path):
         doc = gen_instance(seed=0)
@@ -688,7 +731,7 @@ BOUND_IN_HARNESS = (
 
 def test_orchestration_calls_through_the_harness_bindings(tmp_path, instance_path, monkeypatch):
     calls = collections.Counter()
-    for name in BOUND_IN_HARNESS + ("cmatrix",):
+    for name in BOUND_IN_HARNESS + ("cmatrix", "_complex"):
         def recorder(*args, real=getattr(harness, name), name=name, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
@@ -706,10 +749,40 @@ def test_orchestration_calls_through_the_harness_bindings(tmp_path, instance_pat
     ]
     assert [main(op) for op in ops] == [EXIT_OK] * 4
     assert calls == {  # every op reads and precomputes its instance; two sweep traces
-        "read_instance": 4, "precompute": 4, "read_solution": 1, "cmatrix": 1,
+        "read_instance": 4, "precompute": 4, "read_solution": 1, "cmatrix": 1, "_complex": 1,
         "write_solution": 1, "write_trace": 3, "gd_solve": 1, "pgd_solve": 1,
         "active_set_oracle": 1, "real_augmented_pgd": 2,
     }
     calls.clear()
     harness.read_solution(w)
-    assert calls == {"read_solution": 1, "cmatrix": 1}
+    assert calls == {"read_solution": 1, "cmatrix": 1, "_complex": 1}
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--method", "pgd"],
+    ["check", "--w-source", "file", "--monitors", "kkt"],
+    ["sweep", "--method", "gd", "--alphas", "f0.5,f0.9"],
+], ids=["solve", "check-file", "sweep"])
+def test_instance_document_is_freed_before_precompute(tmp_path, instance_path, monkeypatch,
+                                                      command):
+    """Each run keeps only the problem: the parsed document, a second copy
+    of H and A, is gone by the time precompute runs."""
+    documents, alive = [], []
+
+    def reading(path, real=harness.read_instance):
+        instance, doc = real(path)
+        documents.append(weakref.ref(doc["h_re"]))
+        return instance, doc
+
+    def precomputing(instance, real=harness.precompute):
+        alive.append(documents[-1]() is not None)
+        return real(instance)
+
+    w = tmp_path / "w.json"
+    assert main(["solve", str(instance_path), "--method", "pgd", "-o", str(w)]) == EXIT_OK
+    monkeypatch.setattr(harness, "read_instance", reading)
+    monkeypatch.setattr(harness, "precompute", precomputing)
+    extra = {"check": ["--w-file", str(w)], "sweep": ["--out-dir", str(tmp_path / "sweep")]}
+    argv = [command[0], str(instance_path), *command[1:], *extra.get(command[0], [])]
+    assert main(argv) == EXIT_OK
+    assert alive == [False]

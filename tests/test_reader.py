@@ -844,3 +844,8 @@ def test_io_bench_small_run(tmp_path):
     for name, paths in (("read_split", ("split", "serial")), ("read_walk", ("walk", "loads"))):
         for ratio in run[name]["numbers"].values():
             assert all(ratio[f"{path}_s"] > 0 for path in paths) and ratio["ratio"] > 0
+    harness_run = run["harness_large"]
+    assert set(harness_run["rss_rise_mb"]) == {"run_experiment", "run_check"}
+    for call, rise in harness_run["rss_rise_mb"].items():
+        before, peak = harness_run["before_mb"][call], harness_run["peak_mb"][call]
+        assert 0 < before <= peak and abs(rise - (peak - before)) <= 0.1

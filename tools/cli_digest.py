@@ -38,9 +38,10 @@ INSTANCES = tuple((f"p{seed}", ["--seed", str(seed)]) for seed in range(5)) + (
     ("c0", ["--seed", "0", "--m", "16", "--n", "8", "--k", "8", "--eta", "0.01"]),
     ("r0", ["--seed", "0", "--m", "4", "--n", "6", "--eta", "0.01"]),
 )
-# An instance and a solution just above the 2^16 numbers from which the
-# writer encodes a document's matrices on two CPUs (formats._SPLIT_NUMBERS):
-# 2 x 160 x (128 + 257) and 2 x 128 x 257 numbers. The 2.9 MB instance is
+# An instance and a solution above the 25,600 numbers from which the writer
+# encodes a document's matrices on two CPUs (formats._SPLIT_NUMBERS):
+# 2 x 160 x (128 + 257) and 2 x 128 x 257 numbers; every other file the
+# digest writes is far below it. The 2.9 MB instance is
 # above the size from which the reader walks a file through its window and
 # parses its matrices on two CPUs (formats._SPLIT_CHARS); the 1.6 MB
 # solution is below it and goes whole to json.loads. The instance's

@@ -34,7 +34,10 @@ the walk in one process) and ``read_walk`` (that walk over ``loads``).
 files go to ``json.loads``, because the walk saves memory, not time, and
 for small files that saving is small.
 ``read_large`` is the median of ``read_instance`` of the ``large`` instance
-on all three paths, over that size's rounds.
+on all three paths, over that size's rounds. ``harness_large`` is the
+memory of one whole solve and one check of that instance: a
+``run_experiment`` (pgd at f0.9, writing its trace and solution) and a
+``run_check`` of its solution (kkt), each in a fresh child as below.
 
 The memory of each call is measured in a fresh child process that has
 already imported cmop and, for a write, loaded the document or matrix it
@@ -103,8 +106,12 @@ CROSSOVERS = {
 }
 
 # Run in a child: import cmop, unpickle what a write writes, then report the
-# peak RSS (kB) before and after one call: harness.<argv[1]>([loaded,] argv[2]).
+# peak RSS (kB) before and after one call, its printing sent to /dev/null:
+# harness.<argv[1]>([loaded,] *args, **kwargs), (args, kwargs) the JSON argv[2].
 _RSS_CHILD = """
+import contextlib
+import json
+import os
 import pickle
 import sys
 import cmop.harness as harness
@@ -113,13 +120,14 @@ def peak_kb():
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
 
-args = [sys.argv[2]]
+args, kwargs = json.loads(sys.argv[2])
 if len(sys.argv) > 3:
     with open(sys.argv[3], "rb") as source:
         args.insert(0, pickle.load(source))
 call = getattr(harness, sys.argv[1])
 before = peak_kb()
-call(*args)
+with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+    call(*args, **kwargs)
 print(before, peak_kb())
 """
 
@@ -136,10 +144,13 @@ def _median_s(calls: dict, rounds: int) -> dict:
     return {name: statistics.median(ts) for name, ts in times.items()}
 
 
-def _peak_rss_mb(call: str, path: Path, data=None) -> tuple[float, float]:
-    """The peak RSS before and after ``harness.<call>`` on ``path``, first
-    given ``data`` (pickled to a file next to it) if it is a write."""
-    argv = [sys.executable, "-c", _RSS_CHILD, call, str(path)]
+def _peak_rss_mb(call: str, path: Path, *args, data=None, **kwargs) -> tuple[float, float]:
+    """The peak RSS before and after ``harness.<call>(path, *args,
+    **kwargs)``, given ``data`` (pickled to a file next to ``path``) first
+    if it is a write. ``path`` and the keyword arguments, all paths, go as
+    strings."""
+    args, kwargs = [str(path), *args], {key: str(v) for key, v in kwargs.items()}
+    argv = [sys.executable, "-c", _RSS_CHILD, call, json.dumps([args, kwargs])]
     if data is not None:
         source = path.with_suffix(".pickle")
         with open(source, "wb") as out:
@@ -163,9 +174,9 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
         "read_solution": lambda: read_solution(sol),
     }, rounds)
     rss = {
-        "write_instance": _peak_rss_mb("write_instance", inst, doc),
+        "write_instance": _peak_rss_mb("write_instance", inst, data=doc),
         "read_instance": _peak_rss_mb("read_instance", inst),
-        "write_solution": _peak_rss_mb("write_solution", sol, w),
+        "write_solution": _peak_rss_mb("write_solution", sol, data=w),
         "read_solution": _peak_rss_mb("read_solution", sol),
     }
     return {
@@ -173,10 +184,32 @@ def run_size(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
         "instance_bytes": inst.stat().st_size,
         "solution_bytes": sol.stat().st_size,
         "seconds": {name: round(s, 6) for name, s in seconds.items()},
+        **_rss_fields(rss),
+    }
+
+
+def _rss_fields(rss: dict) -> dict:
+    """The rise, before and peak (MB) of each call, from its (before, peak)."""
+    return {
         "rss_rise_mb": {name: round(peak - before, 1) for name, (before, peak) in rss.items()},
         "before_mb": {name: round(before, 2) for name, (before, _) in rss.items()},
         "peak_mb": {name: round(peak, 2) for name, (_, peak) in rss.items()},
     }
+
+
+def harness_peaks(m: int, n: int, k: int, tmp: Path) -> dict:
+    """The peak RSS of one solve and one check of the M x N x K instance of
+    :func:`run_size`, each in a fresh child: ``run_experiment`` (pgd at
+    f0.9, writing its trace and solution, as ``cmop solve`` does) and then
+    ``run_check`` of that solution (``--w-source file --monitors kkt``)."""
+    inst, sol = tmp / f"inst-{m}x{n}x{k}.json", tmp / "harness-solution.json"
+    rss = {
+        "run_experiment": _peak_rss_mb("run_experiment", inst, "pgd", "f0.9",
+                                       trace_path=tmp / "harness-trace.csv", out_path=sol),
+        "run_check": _peak_rss_mb("run_check", inst, "file", ["kkt"],
+                                  report_path=tmp / "harness-report.txt", w_path=sol),
+    }
+    return {"m": m, "n": n, "k": k, **_rss_fields(rss)}
 
 
 def _paths_median_s(paths: dict, read, path: Path, rounds: int) -> dict:
@@ -248,6 +281,8 @@ def main(argv=None) -> int:
             print(f"{name}: {json.dumps(run[name])}", file=sys.stderr)
         run["read_large"] = large_reads(*sizes["large"], Path(tmp))
         print(f"read_large: {json.dumps(run['read_large'])}", file=sys.stderr)
+        run["harness_large"] = harness_peaks(*sizes["large"][:3], Path(tmp))
+        print(f"harness_large: {json.dumps(run['harness_large'])}", file=sys.stderr)
 
     runs = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs[args.label] = run
