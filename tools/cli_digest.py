@@ -84,6 +84,11 @@ def _commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
             "solve", inst, "--method", "gd", "--alpha", "1e6",
             "--trace", f"{out}/gd-diverges.csv",
         ]),
+        # A step so long that the first iterate's objective overflows.
+        ("solve-real-augmented-overflows", [
+            "solve", inst, "--method", "real-augmented", "--alpha", "1e300",
+            "--trace", f"{out}/real-augmented-overflows.csv",
+        ]),
         ("check-gd", [
             "check", inst, "--w-source", "gd", "--monitors", "thm2,lemma2,lipschitz",
             "--alpha", "f0.9", "--tau", TAU, "--seed", seed,
@@ -99,6 +104,12 @@ def _commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
             "--monitors", "thm3,kkt,lemma2,lemma4,lipschitz",
             "--alpha", "f0.9", "--tau", TAU, "--seed", seed,
             "--report", f"{out}/check-certify.txt",
+        ]),
+        # A fixed step above 1/L on the p instances: thm3 on a step that
+        # the projected method's guarantee does not cover, and no warning.
+        ("check-pgd-fixed", [
+            "check", inst, "--w-source", "pgd", "--monitors", "thm3,kkt",
+            "--alpha", "1e-3", "--report", f"{out}/check-pgd-fixed.txt",
         ]),
         ("check-oracle", [
             "check", inst, "--w-source", "oracle", "--monitors", "kkt",
