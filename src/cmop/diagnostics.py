@@ -34,7 +34,7 @@ from .cmat import (
 from .errors import DegenerateRowError, DimensionError, InputError
 from .objective import Precomputed, ProblemInstance, _check_w_shape, _residual_objective
 from .projection import RowBall, project_rows
-from .solvers import IterationRecord, kkt_residuals_for
+from .solvers import IterationRecord, kkt_passes, kkt_residuals_for
 
 MONITOR_THM2 = "thm2-descent"
 MONITOR_THM3_DECREASE = "thm3-decrease"
@@ -128,9 +128,7 @@ def kkt_check(
     multiplier is the real projection coefficient of the negative-gradient
     row onto the iterate row; whatever part of that row is not parallel to
     the iterate lands in the stationarity residual rather than being
-    dropped. ``passed`` requires stationarity <= 1e-6, primal <= 1e-6 eta,
-    and dual/complementarity <= 1e-6 scaled by max(1, max lambda) (times
-    eta for complementarity).
+    dropped. ``passed`` is :func:`cmop.solvers.kkt_passes` at 1e-6.
     """
     n, k = pre.b.shape
     w = _check_w_shape(w, n, k)
@@ -147,20 +145,13 @@ def kkt_check(
             lam[i] = re_frob_inner(resid[i : i + 1], w[i : i + 1]) / rs[i]
 
     res = kkt_residuals_for(pre, instance, w, lam)
-    lam_scale = max(1.0, float(np.max(lam, initial=0.0)))
-    passed = (
-        res["stationarity"] <= _KKT_PASS_TOL
-        and res["primal"] <= _KKT_PASS_TOL * eta
-        and res["dual"] <= _KKT_PASS_TOL * lam_scale
-        and res["complementarity"] <= _KKT_PASS_TOL * eta * lam_scale
-    )
     return KktReport(
         stationarity_residual=res["stationarity"],
         primal_violation=res["primal"],
         dual_violation=res["dual"],
         complementarity=res["complementarity"],
         lambda_hat=rvector(lam),
-        passed=passed,
+        passed=kkt_passes(res, eta, lam, _KKT_PASS_TOL),
     )
 
 

@@ -24,7 +24,7 @@ class SingularSystemError(CmopError, RuntimeError):
 class OracleError(CmopError, RuntimeError):
     """The dual oracle's result failed its optimality certificate.
 
-    Carries the last primal point, multipliers and scaled residuals so the
+    Carries the last primal point, multipliers and raw residuals so the
     caller can inspect how close the ascent got.
     """
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +123,7 @@ class ExperimentSummary:
         )
 
 
+@np.errstate(all="ignore")
 def run_solver(
     instance: ProblemInstance,
     pre: Precomputed,
@@ -133,7 +133,9 @@ def run_solver(
 ) -> SolveResult:
     """Dispatch one solve. w0 defaults to the zero matrix (always feasible).
     A closed form whose objective overflows raises InputError, as the
-    iterative methods do at a non-finite initial objective."""
+    iterative methods do at a non-finite initial objective. No overflow
+    raises a numpy warning: each method reports it as an error or a stop
+    reason."""
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}; expected one of {METHODS}")
     if w0 is None:
@@ -166,21 +168,12 @@ def _configure(
     pre: Precomputed, method: str, alpha_spec: str, **config_options
 ) -> tuple[SolverConfig, float | None]:
     """The solver config for a step spec, and its resolved step (None for
-    the direct methods), without the out-of-interval warning."""
+    the direct methods)."""
     config = SolverConfig(alpha=parse_alpha_spec(alpha_spec), **config_options)
     resolved = None
     if method in ITERATIVE_METHODS:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            resolved = resolve_alpha(config, pre.lipschitz, _step_mode(method))
+        resolved = resolve_alpha(config, pre.lipschitz, _step_mode(method))
     return config, resolved
-
-
-def _run_quietly(instance, pre, method, config) -> SolveResult:
-    """One solve, solver warnings silenced: callers report a bad step."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return run_solver(instance, pre, method, config)
 
 
 def _step_mode(method: str) -> str:
@@ -203,7 +196,7 @@ def run_experiment(
     config, resolved = _configure(
         pre, method, alpha_spec, tau=tau, max_iter=max_iter, time_iterations=time_iterations
     )
-    result = _run_quietly(instance, pre, method, config)
+    result = run_solver(instance, pre, method, config)
 
     in_interval = None
     if resolved is not None:
@@ -285,7 +278,7 @@ def run_check(
             pre, w_source, alpha_spec,
             tau=tau, max_iter=max_iter, record_iterates="thm3" in monitors,
         )
-        result = _run_quietly(instance, pre, w_source, config)
+        result = run_solver(instance, pre, w_source, config)
         w = result.w_final
 
     reports: list = []
@@ -434,7 +427,7 @@ def _sweep_step(
     """Solve one sweep step, write its trace and fill its summary row; a
     CmopError becomes the row's error."""
     try:
-        result = _run_quietly(instance, pre, method, config)
+        result = run_solver(instance, pre, method, config)
         write_trace(result.trace, out / f"trace_{row['index']}.csv")
     except CmopError as exc:
         row["error"] = _one_line(exc)

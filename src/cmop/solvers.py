@@ -39,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -75,20 +74,22 @@ _RISE_FLOOR = 1e-12
 
 @dataclasses.dataclass(frozen=True)
 class SolverConfig:
-    """Step-size policy, stopping rule, and trace options.
+    """Step-size policy, stopping rule, and what a solve records.
 
-    ``alpha`` is either a positive float (fixed step) or a string ``f<frac>``
-    with frac in (0, 1), resolved as that fraction of the mode's guaranteed
-    step interval: (0, 2/L) for plain descent, (0, 1/L) for the projected
+    ``alpha`` is either a positive finite float (fixed step, used as given
+    even outside the guaranteed interval) or a string ``f<frac>`` with frac
+    in (0, 1), resolved as that fraction of the mode's guaranteed step
+    interval: (0, 2/L) for plain descent, (0, 1/L) for the projected
     method. ``tau`` is the stopping tolerance on the per-iteration
-    objective decrease. ``time_iterations`` opts into wall-clock timing per
-    iteration; it is off by default so traces are bit-reproducible.
+    objective decrease. Every step is recorded in the trace;
+    ``record_iterates`` keeps W^0 .. W^T as well. ``time_iterations`` opts
+    into wall-clock timing per iteration; it is off by default so traces
+    are bit-reproducible.
     """
 
     alpha: float | str
     tau: float = 1e-12
     max_iter: int = 100_000
-    record_trace: bool = True
     record_iterates: bool = False
     time_iterations: bool = False
 
@@ -116,7 +117,7 @@ class IterationRecord:
 
 @dataclasses.dataclass
 class SolveResult:
-    """Solver output. ``trace`` is empty when recording was disabled;
+    """Solver output. ``trace`` is empty for the direct methods;
     ``iterates`` holds W^0 .. W^T when iterate recording was requested."""
 
     w_final: ComplexMatrix
@@ -158,9 +159,10 @@ def step_fraction(spec: str) -> float:
 def resolve_alpha(config: SolverConfig, lipschitz: float, mode: str) -> float:
     """Turn the configured step policy into a concrete step size.
 
-    Fixed values are returned verbatim; values at or beyond the mode's
-    guaranteed interval trigger a warning but proceed. Fraction policies
-    ``f<frac>`` return frac times the interval's upper end.
+    Fixed values are returned as given, inside the mode's guaranteed
+    interval or not; a fixed value that is not positive and finite raises
+    ConfigError. Fraction policies ``f<frac>`` return frac times the
+    interval's upper end.
     """
     if not lipschitz > 0.0:
         raise ConfigError(f"lipschitz must be positive to resolve a step, got {lipschitz}")
@@ -169,18 +171,12 @@ def resolve_alpha(config: SolverConfig, lipschitz: float, mode: str) -> float:
     if isinstance(spec, str):
         return step_fraction(spec) * sup
     alpha = float(spec)
-    if not alpha > 0.0:
-        raise ConfigError(f"fixed step size must be positive, got {alpha}")
-    if alpha >= sup:
-        warnings.warn(
-            f"fixed step {alpha:g} is outside the guaranteed interval "
-            f"(0, {sup:g}) for mode {mode!r}; proceeding anyway",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if not 0.0 < alpha < math.inf:
+        raise ConfigError(f"fixed step size must be positive and finite, got {alpha}")
     return alpha
 
 
+@np.errstate(all="ignore")
 def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
     """The fixed-step iteration W <- P(W - alpha (G W - B)) behind every
     iterative solver.
@@ -190,6 +186,8 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
     ``project`` (None for plain descent) is applied to the start and after
     every step; ``to_complex`` maps an iterate to a new complex matrix for
     the result. ``flops`` is the per-iteration count recorded in the trace.
+    An iterate that overflows under a long step raises no numpy warning:
+    the divergence rule stops the run and its stop reason reports it.
     """
     if project is not None:
         w = project(w)
@@ -201,7 +199,6 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
     tau = config.tau
     rise = -max(tau, _RISE_FLOOR * f)
     timed = config.time_iterations
-    record_trace = config.record_trace
     trace: list[IterationRecord] = []
     iterates: list[ComplexMatrix] | None = None
     if config.record_iterates:
@@ -231,8 +228,7 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         step_norm = math.sqrt(np.vdot(delta, delta).real)
         if timed:
             elapsed = time.perf_counter_ns() - t0
-        if record_trace:
-            trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
+        trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
         if iterates is not None:
             iterates.append(to_complex(w_next))
         w, f = w_next, f_next
@@ -392,6 +388,20 @@ def kkt_residuals_for(pre, instance, w, lam):
     }
 
 
+def kkt_passes(res, eta, lam, tol) -> bool:
+    """Whether the raw residuals ``res`` of :func:`kkt_residuals_for` meet
+    the optimality conditions within ``tol``: stationarity <= tol, primal
+    <= tol eta, dual <= tol s and complementarity <= tol eta s, with
+    s = max(1, max lambda). A NaN residual fails."""
+    scale = max(1.0, float(np.max(lam, initial=0.0)))
+    return (
+        res["stationarity"] <= tol
+        and res["primal"] <= tol * eta
+        and res["dual"] <= tol * scale
+        and res["complementarity"] <= tol * eta * scale
+    )
+
+
 def _dual_point(g, b, eta, lam, pivot_floor=0.0):
     """W(lam) = (G + Diag lam)^{-1} B with M = (G + Diag lam)^{-1} and the
     dual value -1/2 (Re<B, W> + eta sum(lam)) (the constant 1/2 ||A||^2
@@ -486,15 +496,6 @@ def _dual_ascent(g, b, eta, lam, point, tol, budget):
     return lam, point, used
 
 
-def _scaled_residuals(pre, instance, w, lam):
-    """The four residuals, primal over eta and complementarity over
-    eta max(1, max lambda)."""
-    res = kkt_residuals_for(pre, instance, w, lam)
-    res["primal"] /= instance.eta
-    res["complementarity"] /= instance.eta * max(1.0, float(np.max(lam, initial=0.0)))
-    return res
-
-
 def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResult:
     """Exact solver for the row-power-constrained problem by projected
     Newton ascent on its concave Lagrange dual over lambda >= 0.
@@ -516,9 +517,9 @@ def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResul
     problem.
 
     The result is certified before it is returned: the four optimality
-    residuals at (W, lambda), primal divided by eta and complementarity by
-    eta max(1, max lambda), must all be <= ``_ORACLE_TOL``; otherwise
-    ``OracleError`` carries the last W, lambda and residuals.
+    residuals at (W, lambda) must pass :func:`kkt_passes` at
+    ``_ORACLE_TOL``; otherwise ``OracleError`` carries the last W, lambda
+    and raw residuals.
     """
     eta = instance.eta
     lam = np.zeros(pre.b.shape[0])
@@ -531,7 +532,7 @@ def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResul
         )
         factorizations += used
         w = point[0]
-        res = _scaled_residuals(pre, instance, w, lam)
+        res = kkt_residuals_for(pre, instance, w, lam)
     else:
         mu = _PROX_WEIGHT * top
         g = pre.g + mu * np.eye(len(lam))
@@ -549,11 +550,11 @@ def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResul
             )
             factorizations += used
             w = point[0]
-            res = _scaled_residuals(pre, instance, w, lam)
-            if max(res.values()) <= _ORACLE_TOL or factorizations >= _ORACLE_BUDGET:
+            res = kkt_residuals_for(pre, instance, w, lam)
+            if kkt_passes(res, eta, lam, _ORACLE_TOL) or factorizations >= _ORACLE_BUDGET:
                 break
 
-    if max(res.values()) > _ORACLE_TOL:
+    if not kkt_passes(res, eta, lam, _ORACLE_TOL):
         raise OracleError(
             f"the dual ascent stopped after {factorizations} factorizations without "
             f"meeting the optimality conditions within {_ORACLE_TOL:g}; residuals: {res}",

@@ -116,8 +116,7 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         f_next = _quad_value(w_next, gw, b, const)
         step_norm = frob_norm(delta)
         elapsed = time.perf_counter_ns() - t0 if config.time_iterations else 0
-        if config.record_trace:
-            trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
+        trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
         if iterates is not None:
             iterates.append(to_complex(w_next))
         w, f = w_next, f_next

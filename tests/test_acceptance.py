@@ -12,7 +12,6 @@ criterion for coherence.
 """
 
 import time
-import warnings
 
 import numpy as np
 
@@ -57,12 +56,6 @@ def report(name, ok, detail=""):
     assert ok, f"{name}{suffix}"
 
 
-def quiet_solve(fn, *args, **kw):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return fn(*args, **kw)
-
-
 def test_c01_gradient_matches_finite_differences():
     t0 = time.perf_counter()
     rng = np.random.default_rng(1001)
@@ -87,9 +80,7 @@ def test_c02_descent_reaches_closed_form():
     for seed in ACCEPT_SEEDS:
         inst, pre = problem(seed)
         w_opt = closed_form_unconstrained(pre)
-        cfg = SolverConfig(
-            alpha=1.0 / pre.lipschitz, tau=1e-14, max_iter=400_000, record_trace=False
-        )
+        cfg = SolverConfig(alpha=1.0 / pre.lipschitz, tau=1e-14, max_iter=400_000)
         res = gd_solve(pre, inst, zero_w(inst), cfg)
         worst = max(worst, frob_norm(res.w_final - w_opt) / frob_norm(w_opt))
     elapsed = time.perf_counter() - t0
@@ -168,9 +159,7 @@ def test_c06_kkt_certification():
     for seed in ACCEPT_SEEDS:
         inst, pre = problem(seed)  # N = 5 <= 6
         ball = RowBall.for_power_budget(inst.eta)
-        cfg = SolverConfig(
-            alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=400_000, record_trace=False
-        )
+        cfg = SolverConfig(alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=400_000)
         res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         rep = kkt_check(pre, inst, res.w_final)
         all_passed = all_passed and rep.passed
@@ -191,8 +180,7 @@ def test_c07_real_stacked_mirror():
         inst, pre = problem(seed)
         ball = RowBall.for_power_budget(inst.eta)
         cfg = SolverConfig(
-            alpha=0.9 / pre.lipschitz, tau=1e-300, max_iter=100,
-            record_trace=False, record_iterates=True,
+            alpha=0.9 / pre.lipschitz, tau=1e-300, max_iter=100, record_iterates=True
         )
         a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         b = real_augmented_pgd(pre, inst, zero_w(inst), ball, cfg)
@@ -228,9 +216,9 @@ def test_c08_qualitative_step_size_study():
             for alpha in (slow_alpha, fast_alpha):
                 cfg = SolverConfig(alpha=alpha, tau=1e-12, max_iter=400_000)
                 if method == "gd":
-                    res = quiet_solve(gd_solve, pre, inst, zero_w(inst), cfg)
+                    res = gd_solve(pre, inst, zero_w(inst), cfg)
                 else:
-                    res = quiet_solve(pgd_solve, pre, inst, zero_w(inst), ball, cfg)
+                    res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
                 monotone = all(
                     rec.decrease >= -1e-9 * (1 + abs(rec.objective)) for rec in res.trace
                 )

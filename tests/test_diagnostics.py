@@ -73,7 +73,7 @@ class TestKktCheck:
         inst = make_instance(2)
         pre = precompute(inst)
         ball = RowBall.for_power_budget(inst.eta)
-        cfg = SolverConfig(alpha="f0.9", tau=1e-14, max_iter=200_000, record_trace=False)
+        cfg = SolverConfig(alpha="f0.9", tau=1e-14, max_iter=200_000)
         res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         rep = kkt_check(pre, inst, res.w_final)
         assert rep.passed
@@ -158,16 +158,12 @@ class TestMonitorThm2:
 
 class TestMonitorThm3:
     def _pgd_run(self, seed, frac):
-        import warnings
-
         inst = make_instance(seed)
         pre = precompute(inst)
         ball = RowBall.for_power_budget(inst.eta)
         alpha = frac / pre.lipschitz
         cfg = SolverConfig(alpha=alpha, tau=1e-14, record_iterates=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
+        res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         w_opt = active_set_oracle(pre, inst).w_final
         return res, w_opt, alpha, pre
 

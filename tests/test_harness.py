@@ -272,6 +272,8 @@ class TestMalformedFiles:
         assert "overflows" in err
         assert not (out_dir / "summary.csv").exists()
 
+    # A numpy warning would print a second stderr line outside pytest.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", METHODS)
     def test_instance_whose_objective_overflows(self, tmp_path, capsys, method):
         # G and B stay finite at range 3e153, but 1/2 ||H W - A||^2 does not.
@@ -513,6 +515,44 @@ class TestCli:
         assert code == EXIT_DIVERGED
         assert "iterations=1 stop=diverged" in out
 
+    @pytest.mark.parametrize("method, monitors", [
+        ("gd", "thm2"), ("pgd", "thm3,kkt"), ("real-augmented", None),
+    ])
+    @pytest.mark.parametrize("alpha", ["0.002", "1e300"])
+    def test_a_step_outside_the_interval_warns_once_on_solve_only(
+        self, tmp_path, capsys, instance_path, method, monitors, alpha
+    ):
+        # 2/L is 0.0015 on seed 0 and 1/L 0.00075: both steps lie outside.
+        lipschitz = precompute(read_instance(instance_path)[0]).lipschitz
+        sup = (2.0 if method == "gd" else 1.0) / lipschitz
+        main(["solve", str(instance_path), "--method", method, "--alpha", alpha])
+        out, err = capsys.readouterr()
+        assert err == (
+            f"warning: step size {float(alpha)!r} lies outside the guaranteed "
+            f"interval (0, {sup!r}); proceeding\n"
+        )
+        assert "alpha_in_interval=no" in out
+        if monitors is not None:
+            main(["check", str(instance_path), "--w-source", method, "--alpha", alpha,
+                  "--monitors", monitors])
+            assert capsys.readouterr().err == ""
+        assert main(["sweep", str(instance_path), "--method", method, "--alphas", alpha,
+                     "--out-dir", str(tmp_path / "sw")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{inst}", "--method", "pgd", "--alpha", "{alpha}"],
+        ["check", "{inst}", "--w-source", "gd", "--alpha", "{alpha}", "--monitors", "thm2"],
+    ], ids=["solve", "check"])
+    @pytest.mark.parametrize("alpha", ["inf", "1e400", "nan"])
+    def test_a_non_finite_step_is_a_one_line_input_error(
+        self, capsys, instance_path, argv, alpha
+    ):
+        code = main([arg.format(inst=instance_path, alpha=alpha) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: fixed step size must be positive and finite, got {float(alpha)}\n"
+
     def test_failing_check_exit_code(self, tmp_path, capsys):
         inst = tmp_path / "i.json"
         main(["gen", "--seed", "2", "-o", str(inst)])
@@ -589,6 +629,8 @@ class TestCli:
         assert code == EXIT_OK
         assert (tmp_path / "sw" / "summary.csv").exists()
 
+    # A numpy warning would print a second stderr line outside pytest.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("method", ["gd", "pgd", "real-augmented", "closed", "oracle"])
     def test_zero_h_is_a_one_line_input_error(self, tmp_path, capsys, method):
         # L = 0: no step can be resolved and G is singular.

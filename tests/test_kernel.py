@@ -8,7 +8,6 @@ import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +91,6 @@ def kernel_cases(draw):
         a, w0 = _with_negative_zeros(rng, a), _with_negative_zeros(rng, w0)
     options = dict(
         max_iter=draw(st.sampled_from([1, 7, 400])),
-        record_trace=draw(st.booleans()),
         record_iterates=draw(st.booleans()),
     )
     return ProblemInstance(h=h, a=a, eta=eta), w0, options
@@ -111,11 +109,9 @@ def test_kernel_matches_reference_bit_for_bit(method, alpha, case):
     if isinstance(alpha, float):
         alpha /= pre.lipschitz
     config = SolverConfig(alpha=alpha, **options)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # fixed steps out of their interval
-        new = run_solver(inst, pre, method, config, w0=w0)
-        with reference.installed():
-            ref = run_solver(inst, pre, method, config, w0=w0)
+    new = run_solver(inst, pre, method, config, w0=w0)
+    with reference.installed():
+        ref = run_solver(inst, pre, method, config, w0=w0)
     event(f"{method}: {ref.stop_reason}")
     assert_bit_identical(new, ref)
 
@@ -133,11 +129,9 @@ def test_one_step_rise_beyond_a_millionfold_diverges(rise, stop):
     const = 0.5 * np.vdot(inst.a, inst.a).real
     alpha = (lin + np.sqrt(lin**2 + 4 * quad * (rise - 1) * const)) / (2 * quad)
     config = SolverConfig(alpha=alpha, max_iter=1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        new = run_solver(inst, pre, "gd", config)
-        with reference.installed():
-            ref = run_solver(inst, pre, "gd", config)
+    new = run_solver(inst, pre, "gd", config)
+    with reference.installed():
+        ref = run_solver(inst, pre, "gd", config)
     assert new.objective == pytest.approx(rise * new.trace[0].objective, rel=1e-6)
     assert new.stop_reason == stop
     assert_bit_identical(new, ref)
@@ -172,7 +166,7 @@ def test_projections_and_row_norms_match_reference_bit_for_bit(n, k, seed, radiu
 @pytest.mark.parametrize("options", [
     dict(alpha="f0.9"),
     dict(alpha="f0.5", max_iter=3),
-    dict(alpha="f0.9", record_trace=False, record_iterates=True),
+    dict(alpha="f0.9", record_iterates=True),
 ])
 def test_a_wrapped_project_rows_sees_every_projection(monkeypatch, options):
     calls = []

@@ -1,14 +1,17 @@
 """The dual oracle: agreement with the 2^N enumeration on small instances,
-and certified-or-refused behaviour on edge cases (K = 1, A = 0, N > M,
-rank-deficient G, data scaled by 10^+-6)."""
+certified-or-refused behaviour on edge cases (K = 1, A = 0, N > M,
+rank-deficient G, data scaled by 10^+-6), and the KKT scorer that both it
+and ``kkt_check`` certify with."""
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import cmop.solvers as solvers
 from cmop import (
     CmopError,
+    OracleError,
     ProblemInstance,
     RowBall,
     SolverConfig,
@@ -18,6 +21,7 @@ from cmop import (
     pgd_solve,
     precompute,
 )
+from cmop.solvers import kkt_passes, kkt_residuals_for
 from enumeration_oracle import enumeration_oracle
 from helpers import make_instance, zero_w
 
@@ -79,8 +83,42 @@ def test_certified_or_refused(inst):
         return
     assert kkt_check(pre, inst, orc.w_final).passed
     ball = RowBall.for_power_budget(inst.eta)
-    cfg = SolverConfig(alpha="f0.9", tau=1e-300, max_iter=2000, record_trace=False)
+    cfg = SolverConfig(alpha="f0.9", tau=1e-300, max_iter=2000)
     w_pgd = pgd_solve(pre, inst, zero_w(inst), ball, cfg).w_final
     f_pgd = evaluate(pre, inst, w_pgd)
     f_zero = evaluate(pre, inst, zero_w(inst))
     assert orc.objective <= f_pgd + 1e-8 * f_pgd + 1e-14 * f_zero
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("lam", [[0.0, 0.5], [0.0, 3.0]], ids=["scale-1", "scale-3"])
+@pytest.mark.parametrize("name", ["stationarity", "primal", "dual", "complementarity"])
+def test_kkt_scorer_bounds_each_residual_at_its_scaled_tolerance(name, lam, tol):
+    eta, lam = 0.01, np.array(lam)
+    scale = max(1.0, lam.max())
+    bound = {
+        "stationarity": tol,
+        "primal": tol * eta,
+        "dual": tol * scale,
+        "complementarity": tol * eta * scale,
+    }[name]
+    res = dict.fromkeys(["stationarity", "primal", "dual", "complementarity"], 0.0)
+    assert kkt_passes({**res, name: bound}, eta, lam, tol)
+    assert not kkt_passes({**res, name: np.nextafter(bound, np.inf)}, eta, lam, tol)
+    assert not kkt_passes({**res, name: np.nan}, eta, lam, tol)
+
+
+@pytest.mark.parametrize("seed, m, n, k, eta", [(0, 16, 8, 8, 0.01), (0, 4, 6, 8, 0.01)],
+                         ids=["regular", "n-above-m"])
+def test_exhausted_budget_raises_with_the_last_point(monkeypatch, seed, m, n, k, eta):
+    # One factorization cannot certify an instance with every row active,
+    # on the dual path or on the proximal path of a singular G.
+    monkeypatch.setattr(solvers, "_ORACLE_BUDGET", 1)
+    inst = make_instance(seed, m=m, n=n, k=k, eta=eta)
+    pre = precompute(inst)
+    with pytest.raises(OracleError) as info:
+        active_set_oracle(pre, inst)
+    err = info.value
+    assert err.best_w.shape == (n, k) and err.best_lambda.shape == (n,)
+    assert err.best_residuals == kkt_residuals_for(pre, inst, err.best_w, err.best_lambda)
+    assert not kkt_passes(err.best_residuals, eta, err.best_lambda, solvers._ORACLE_TOL)

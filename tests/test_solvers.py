@@ -2,6 +2,9 @@
 closed-form and dual oracles, real-stacked mirror equivalence, and
 the flop accounting contract."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,30 +59,29 @@ class TestResolveAlpha:
         cfg = SolverConfig(alpha="f0.9")
         assert resolve_alpha(cfg, 4.0, "pgd") == pytest.approx(0.225)
 
-    def test_fixed_inside_is_silent(self):
-        import warnings
-
-        cfg = SolverConfig(alpha=0.4)
+    @pytest.mark.parametrize("alpha", [0.4, 0.5, 0.6, 1e300])
+    def test_fixed_step_is_used_as_given(self, alpha):
+        # 2/L = 0.5: a fixed step is resolved to itself, inside the
+        # interval or not, and silently; cmop.harness judges the interval.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert resolve_alpha(cfg, 4.0, "gd") == 0.4
+            assert resolve_alpha(SolverConfig(alpha=alpha), 4.0, "gd") == alpha
 
-    def test_fixed_outside_warns(self):
-        cfg = SolverConfig(alpha=0.6)
-        with pytest.warns(RuntimeWarning):
-            resolve_alpha(cfg, 4.0, "gd")  # 0.6 >= 2/4
-
-    def test_paper_step_warning_condition(self):
+    def test_paper_step_is_used_as_given(self):
+        # The paper's step 6e-4 lies inside both intervals on seed 0
+        # (2/L = 1.5e-3, 1/L = 7.5e-4), and descent converges on it.
         inst = make_instance(0)
         pre = precompute(inst)
         cfg = SolverConfig(alpha=0.0006)
-        import warnings
+        assert resolve_alpha(cfg, pre.lipschitz, "gd") == 0.0006
+        assert resolve_alpha(cfg, pre.lipschitz, "pgd") == 0.0006
+        res = gd_solve(pre, inst, zero_w(inst), cfg)
+        assert res.stop_reason == STOP_DECREASE
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            resolve_alpha(cfg, pre.lipschitz, "gd")
-        warned = any(issubclass(w.category, RuntimeWarning) for w in caught)
-        assert warned == (0.0006 >= 2.0 / pre.lipschitz)
+    @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan, 0.0])
+    def test_fixed_step_must_be_positive_and_finite(self, alpha):
+        with pytest.raises(ConfigError, match="positive and finite"):
+            resolve_alpha(SolverConfig(alpha=alpha), 4.0, "gd")
 
     def test_bad_specs(self):
         with pytest.raises(ConfigError):
@@ -120,9 +122,7 @@ class TestGdSolve:
             inst = make_instance(seed)
             pre = precompute(inst)
             w_opt = closed_form_unconstrained(pre)
-            cfg = SolverConfig(
-                alpha=1.0 / pre.lipschitz, tau=1e-14, max_iter=200_000, record_trace=False
-            )
+            cfg = SolverConfig(alpha=1.0 / pre.lipschitz, tau=1e-14, max_iter=200_000)
             res = gd_solve(pre, inst, zero_w(inst), cfg)
             assert res.converged
             assert frob_norm(res.w_final - w_opt) / frob_norm(w_opt) <= 2e-8
@@ -140,8 +140,8 @@ class TestGdSolve:
         inst = make_instance(2)
         pre = precompute(inst)
         cfg = SolverConfig(alpha=1e9 / pre.lipschitz, tau=1e-14, max_iter=1000)
-        with pytest.warns(RuntimeWarning):
-            res = gd_solve(pre, inst, zero_w(inst), cfg)
+        assert resolve_alpha(cfg, pre.lipschitz, "gd") == 1e9 / pre.lipschitz
+        res = gd_solve(pre, inst, zero_w(inst), cfg)
         assert res.stop_reason == STOP_DIVERGED
         assert not res.converged
 
@@ -152,8 +152,8 @@ class TestGdSolve:
         inst = make_instance(2)
         pre = precompute(inst)
         cfg = SolverConfig(alpha=3.0 / pre.lipschitz, tau=1e-14, max_iter=1000)
-        with pytest.warns(RuntimeWarning):
-            res = gd_solve(pre, inst, zero_w(inst), cfg)
+        assert resolve_alpha(cfg, pre.lipschitz, "gd") == 3.0 / pre.lipschitz
+        res = gd_solve(pre, inst, zero_w(inst), cfg)
         assert res.stop_reason == STOP_DIVERGED
         assert res.converged is False
         assert res.trace[-1].decrease < -cfg.tau
@@ -222,9 +222,7 @@ class TestPgdSolve:
             inst = make_instance(seed)
             pre = precompute(inst)
             ball = RowBall.for_power_budget(inst.eta)
-            cfg = SolverConfig(
-                alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=200_000, record_trace=False
-            )
+            cfg = SolverConfig(alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=200_000)
             res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
             orc = active_set_oracle(pre, inst)
             assert abs(res.objective - orc.objective) <= 1e-8 * abs(orc.objective)
@@ -286,7 +284,6 @@ class TestRealAugmentedMirror:
                 alpha=0.9 / pre.lipschitz,
                 tau=1e-300,
                 max_iter=100,
-                record_trace=False,
                 record_iterates=True,
             )
             a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
@@ -427,9 +424,7 @@ class TestActiveSetOracle:
         pre = precompute(inst)
         orc = active_set_oracle(pre, inst)
         ball = RowBall.for_power_budget(inst.eta)
-        cfg = SolverConfig(
-            alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=500_000, record_trace=False
-        )
+        cfg = SolverConfig(alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=500_000)
         res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         assert abs(res.objective - orc.objective) <= 1e-8 * abs(orc.objective)
 
@@ -445,7 +440,7 @@ class TestActiveSetOracle:
         assert report.passed
         assert np.any(report.lambda_hat > 0.0)
         ball = RowBall.for_power_budget(inst.eta)
-        cfg = SolverConfig(alpha="f0.9", tau=1e-14, max_iter=20_000, record_trace=False)
+        cfg = SolverConfig(alpha="f0.9", tau=1e-14, max_iter=20_000)
         pgd = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         assert orc.objective <= evaluate(pre, inst, pgd.w_final) * (1.0 + 1e-12)
 
@@ -471,3 +466,21 @@ class TestFlopAccounting:
         res = gd_solve(pre, inst, zero_w(inst), SolverConfig(alpha="f0.5", tau=1e-10))
         assert res.converged
         assert res.stop_reason in (STOP_DECREASE, STOP_KKT)
+
+
+@pytest.mark.parametrize("h_scale", [1.0, 1e6])
+@pytest.mark.parametrize("step", ["1.5/L", 1e300])
+@pytest.mark.parametrize("method", ["gd", "pgd", "real-augmented"])
+def test_long_steps_emit_no_warning(method, step, h_scale):
+    # 1.5/L lies inside gd's interval and outside pgd's; 1e300 overflows
+    # the first iterate, under H scaled by 1e6 already in its first product.
+    inst = make_instance(2)
+    inst = ProblemInstance(h=h_scale * inst.h, a=inst.a, eta=inst.eta)
+    pre = precompute(inst)
+    alpha = 1.5 / pre.lipschitz if step == "1.5/L" else step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_solver(inst, pre, method, SolverConfig(alpha=alpha, max_iter=1000))
+    assert res.iterations >= 1
+    if step == 1e300 and method == "gd":
+        assert res.stop_reason == STOP_DIVERGED
