@@ -59,10 +59,16 @@ class TestResolveAlpha:
         cfg = SolverConfig(alpha="f0.9")
         assert resolve_alpha(cfg, 4.0, "pgd") == pytest.approx(0.225)
 
-    @pytest.mark.parametrize("alpha", [0.4, 0.5, 0.6, 1e300])
-    def test_fixed_step_is_used_as_given(self, alpha):
-        # 2/L = 0.5: a fixed step is resolved to itself, inside the
-        # interval or not, and silently; cmop.harness judges the interval.
+    def test_fixed_inside_is_silent(self):
+        cfg = SolverConfig(alpha=0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert resolve_alpha(cfg, 4.0, "gd") == 0.4
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 1e300])
+    def test_fixed_outside_is_used_as_given(self, alpha):
+        # 2/L = 0.5: a step at or beyond it is resolved to itself, silently;
+        # cmop.harness judges the interval.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_alpha(SolverConfig(alpha=alpha), 4.0, "gd") == alpha
