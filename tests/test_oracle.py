@@ -96,29 +96,29 @@ def test_certified_or_refused(inst):
 def test_kkt_scorer_bounds_each_residual_at_its_scaled_tolerance(name, lam, tol):
     eta, lam = 0.01, np.array(lam)
     scale = max(1.0, lam.max())
-    bound = {
+    bounds = {
         "stationarity": tol,
         "primal": tol * eta,
         "dual": tol * scale,
         "complementarity": tol * eta * scale,
-    }[name]
-    res = dict.fromkeys(["stationarity", "primal", "dual", "complementarity"], 0.0)
+    }
+    res, bound = dict.fromkeys(bounds, 0.0), bounds[name]
     assert kkt_passes({**res, name: bound}, eta, lam, tol)
     assert not kkt_passes({**res, name: np.nextafter(bound, np.inf)}, eta, lam, tol)
     assert not kkt_passes({**res, name: np.nan}, eta, lam, tol)
 
 
-@pytest.mark.parametrize("seed, m, n, k, eta", [(0, 16, 8, 8, 0.01), (0, 4, 6, 8, 0.01)],
-                         ids=["regular", "n-above-m"])
-def test_exhausted_budget_raises_with_the_last_point(monkeypatch, seed, m, n, k, eta):
+@pytest.mark.parametrize("m, n", [(16, 8), (4, 6)], ids=["regular", "n-above-m"])
+def test_exhausted_budget_raises_with_the_last_point(monkeypatch, m, n):
     # One factorization cannot certify an instance with every row active,
     # on the dual path or on the proximal path of a singular G.
     monkeypatch.setattr(solvers, "_ORACLE_BUDGET", 1)
-    inst = make_instance(seed, m=m, n=n, k=k, eta=eta)
+    eta = 0.01
+    inst = make_instance(0, m=m, n=n, k=8, eta=eta)
     pre = precompute(inst)
     with pytest.raises(OracleError) as info:
         active_set_oracle(pre, inst)
     err = info.value
-    assert err.best_w.shape == (n, k) and err.best_lambda.shape == (n,)
+    assert err.best_w.shape == (n, 8) and err.best_lambda.shape == (n,)
     assert err.best_residuals == kkt_residuals_for(pre, inst, err.best_w, err.best_lambda)
     assert not kkt_passes(err.best_residuals, eta, err.best_lambda, solvers._ORACLE_TOL)
