@@ -50,6 +50,12 @@ INSTANCES = tuple((f"p{seed}", ["--seed", str(seed)]) for seed in range(5)) + (
 # h parses in 2 blocks of rows and a in 3. The digest pins those paths with
 # three commands, not the whole matrix.
 SPLIT_INSTANCE = ("s0", ["--seed", "0", "--m", "160", "--n", "128", "--k", "257"])
+# An instance whose certify check evaluates its samples in blocks of fewer
+# than 64: lemma2's largest temporary per sample is 16 max(M, 2N) K bytes
+# (200 KiB here) and lemma4's 16 N K (40 KiB), so blocks of a fixed byte
+# budget split below the 64-sample cap, while every other instance's
+# blocks hold 64 samples.
+BLOCK_INSTANCE = ("b0", ["--seed", "0", "--m", "200", "--n", "40", "--k", "64", "--eta", "0.5"])
 SWEEP_ALPHAS = "f0.3,f0.9,fbad"
 # More steps than CPUs, out of cost order, with an error row and a step that
 # diverges under gd: the split of a sweep over worker processes must not
@@ -135,6 +141,19 @@ def _split_commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]
     ]
 
 
+def _block_commands(tag: str, gen_args: list[str]) -> list[tuple[str, list[str]]]:
+    inst = f"{tag}.cmop.json"
+    return [
+        ("gen", ["gen", *gen_args, "-o", inst]),
+        ("check-certify", [
+            "check", inst, "--w-source", "pgd",
+            "--monitors", "thm3,kkt,lemma2,lemma4,lipschitz",
+            "--alpha", "f0.9", "--tau", TAU, "--seed", gen_args[1],
+            "--report", f"{tag}/check-certify.txt",
+        ]),
+    ]
+
+
 def _run(name: str, argv: list[str]) -> bytes:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -151,6 +170,7 @@ def digest_lines() -> list[str]:
         try:
             cases = [(tag, _commands(tag, gen_args)) for tag, gen_args in INSTANCES]
             cases.append((SPLIT_INSTANCE[0], _split_commands(*SPLIT_INSTANCE)))
+            cases.append((BLOCK_INSTANCE[0], _block_commands(*BLOCK_INSTANCE)))
             for tag, commands in cases:
                 Path(tag).mkdir()
                 for name, argv in commands:
