@@ -6,7 +6,8 @@ gradient descent with a step inside (0, 1/L) converges to the constrained
 optimum; the dual oracle provides an independent exact answer,
 and the multiplier-recovery check certifies the iterate. The same
 iteration carried out on stacked real/imaginary parts reproduces the
-complex iterates to the last bits.
+complex iterates to the last bits; both runs pass each iterate to an
+observer, which keeps them here for the comparison.
 """
 
 import numpy as np
@@ -29,9 +30,9 @@ pre = precompute(inst)
 ball = RowBall.for_power_budget(inst.eta)
 w0 = np.zeros((inst.n, inst.k), dtype=complex)
 
-cfg = SolverConfig(alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=200_000,
-                   record_iterates=True)
-res = pgd_solve(pre, inst, w0, ball, cfg)
+settings = dict(alpha=0.9 / pre.lipschitz, tau=1e-14, max_iter=200_000)
+pgd_iterates, mirror_iterates = [], []
+res = pgd_solve(pre, inst, w0, ball, SolverConfig(**settings, observe=pgd_iterates.append))
 print(f"projected descent: {res.iterations} iterations, objective {res.objective:.8f}")
 print(f"row squared norms (budget {inst.eta}): {np.round(row_sq_norms(res.w_final), 6)}")
 
@@ -49,11 +50,11 @@ print(f"  complementarity        {rep.complementarity:.2e}")
 print(f"  recovered multipliers  {np.round(rep.lambda_hat, 6)}")
 print(f"  passed: {rep.passed}")
 
-mirror = real_augmented_pgd(pre, inst, w0, ball, cfg)
-shared = min(len(res.iterates), len(mirror.iterates))
+real_augmented_pgd(pre, inst, w0, ball, SolverConfig(**settings, observe=mirror_iterates.append))
+shared = min(len(pgd_iterates), len(mirror_iterates))
 worst = max(
     float(np.max(np.abs(wa - wb)))
-    for wa, wb in zip(res.iterates[:shared], mirror.iterates[:shared])
+    for wa, wb in zip(pgd_iterates[:shared], mirror_iterates[:shared])
 )
 print(f"\nreal-stacked mirror of the same iteration: worst entrywise gap "
       f"over {shared - 1} shared iterations = {worst:.2e}")

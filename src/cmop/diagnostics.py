@@ -25,13 +25,12 @@ import numpy as np
 from .cmat import (
     ComplexMatrix,
     RealVector,
-    frob_norm,
     re_frob_inner,
     row_sq_norms,
     rvector,
     uniform_cmatrix,
 )
-from .errors import DegenerateRowError, DimensionError, InputError
+from .errors import DegenerateRowError, InputError
 from .objective import Precomputed, ProblemInstance, _check_w_shape, _residual_objective
 from .projection import RowBall, project_rows
 from .solvers import IterationRecord, kkt_passes, kkt_residuals_for
@@ -43,11 +42,12 @@ MONITOR_LEMMA2 = "lemma2-convexity"
 MONITOR_LEMMA4 = "lemma4-vi"
 MONITOR_LIPSCHITZ = "lemma3-lipschitz"
 
-# Samples the sample-based monitors evaluate together. Per-block numpy call
-# overhead falls with the block, while its temporaries grow: at 16 x 10 x 8,
-# lemma4 takes 0.2 ms longer per `cmop check` in blocks of 32 than of 64,
-# and blocks of 128 are slower again (two draw calls each, see
-# cmat._DRAW_BLOCK).
+# Bytes of a sample monitor's largest temporary per block, and the most
+# samples a block holds. Per-block call overhead falls with the block: at
+# 16 x 10 x 8, lemma4 takes 0.2 ms longer per `cmop check` in blocks of 32
+# than of 64, and blocks of 128 are slower again (two draw calls each, see
+# cmat._DRAW_BLOCK). At 1000 x 200 x 256 a block holds one sample.
+_BLOCK_BYTES = 2**18
 _SAMPLE_BLOCK = 64
 
 # delta in the Lipschitz certificate's shift L (1 + delta), in units of
@@ -183,8 +183,7 @@ def monitor_thm2(
 
 def monitor_thm3(
     trace: list[IterationRecord],
-    iterates: list[ComplexMatrix],
-    w_opt: ComplexMatrix,
+    distances: list[float],
     alpha: float,
     lipschitz: float,
 ) -> tuple[MonitorReport, MonitorReport]:
@@ -194,44 +193,41 @@ def monitor_thm3(
     decrease >= (1/alpha - L) ||W^t - W^{t+1}||_F^2.
     Second report: distance to the constrained optimum is non-increasing,
     ||W^t - W*||^2 >= ||W^{t+1} - W*||^2 + (1 - alpha L) ||W^t - W^{t+1}||^2.
-    ``iterates`` must hold W^0 .. W^T aligned with the trace.
+    ``distances`` holds ||W^t - W*||_F^2 for t = 0 .. T (say from a
+    ``SolverConfig.observe`` callback); ||W^t - W^{t+1}|| is ``step_norm``.
     """
     decrease_report = _build_report(
         MONITOR_THM3_DECREASE, _decrease_checks(trace, 1.0 / alpha - lipschitz, "step_norm")
     )
-    if len(iterates) != len(trace) + 1:
+    if len(distances) != len(trace) + 1:
         raise InputError(
-            f"iterates must hold one more entry than the trace: "
-            f"{len(iterates)} vs {len(trace)}"
+            f"distances must hold one more entry than the trace: "
+            f"{len(distances)} vs {len(trace)}"
         )
-    w_opt = np.asarray(w_opt)
-    dists = [frob_norm(it - w_opt) ** 2 for it in iterates]
     fejer_coeff = 1.0 - alpha * lipschitz
-    slack = 1e-9 * (1.0 + dists[0])
+    slack = 1e-9 * (1.0 + distances[0])
     fejer_checks = (
-        (
-            rec.iter,
-            dists[t],
-            dists[t + 1] + fejer_coeff * frob_norm(iterates[t] - iterates[t + 1]) ** 2,
-            slack,
-        )
+        (rec.iter, distances[t], distances[t + 1] + fejer_coeff * rec.step_norm**2, slack)
         for t, rec in enumerate(trace)
     )
     fejer_report = _build_report(MONITOR_THM3_FEJER, fejer_checks)
     return decrease_report, fejer_report
 
 
-def _sample_checks(samples, block_checks):
-    """(index, lhs, rhs, slack) for samples 0 .. samples - 1, evaluated
-    _SAMPLE_BLOCK at a time.
+def _sample_checks(samples, sample_bytes, block_checks):
+    """(index, lhs, rhs, slack) for samples 0 .. samples - 1, evaluated in
+    blocks of at most _BLOCK_BYTES at ``sample_bytes`` a sample.
 
     ``block_checks(start, stop)`` returns lhs, rhs and slack for samples
     start .. stop - 1, each an array over the block or a scalar. Blocks are
     evaluated in order as the items are consumed, so a monitor's random
     draws keep their per-sample order.
     """
-    for start in range(0, samples, _SAMPLE_BLOCK):
-        stop = min(start + _SAMPLE_BLOCK, samples)
+    if samples < 1:
+        raise InputError(f"need at least one sample, got {samples}")
+    size = max(1, min(_SAMPLE_BLOCK, _BLOCK_BYTES // sample_bytes))
+    for start in range(0, samples, size):
+        stop = min(start + size, samples)
         columns = (
             x.tolist() if np.ndim(x) else [float(x)] * (stop - start)
             for x in block_checks(start, stop)
@@ -242,27 +238,29 @@ def _sample_checks(samples, block_checks):
 def monitor_lemma2(
     pre: Precomputed,
     instance: ProblemInstance,
-    pairs: ComplexMatrix | list[tuple[ComplexMatrix, ComplexMatrix]],
+    samples: int,
+    seed: int,
+    scale: float,
 ) -> MonitorReport:
-    """Check first-order convexity on the given pairs:
+    """Check first-order convexity on ``samples`` random pairs:
     F(W) >= F(W') + Re<W - W', grad F(W')>, slack 1e-9 (1 + |F(W)|).
 
-    ``pairs`` is anything ``np.asarray`` turns into a P x 2 x N x K array
-    (pair p is ``(pairs[p][0], pairs[p][1]) = (W, W')``), such as a list of
-    (W, W') tuples.
+    W and W' have entries uniform in real and imaginary part over
+    [-scale, scale]. A block of S pairs is one ``uniform_cmatrix`` draw of
+    S x 2 x N x K, the stream a per-pair loop would draw.
     """
-    pairs = np.asarray(pairs)
+    rng = np.random.default_rng(seed)
     n, k = pre.b.shape
-    if pairs.ndim != 4 or pairs.shape[1:] != (2, n, k):
-        raise DimensionError(f"pairs must be P x 2 x {n} x {k}, got {pairs.shape}")
 
     def block_checks(start, stop):
-        w, wt = pairs[start:stop, 0], pairs[start:stop, 1]
+        pairs = uniform_cmatrix(rng, scale, (stop - start, 2, n, k))
+        w, wt = pairs[:, 0], pairs[:, 1]
         f_w = _residual_objective(instance, w)
         lin = re_frob_inner(w - wt, pre.g @ wt - pre.b)
         return f_w, _residual_objective(instance, wt) + lin, 1e-9 * (1.0 + np.abs(f_w))
 
-    return _build_report(MONITOR_LEMMA2, _sample_checks(len(pairs), block_checks))
+    sample_bytes = 16 * max(instance.m, 2 * n) * k
+    return _build_report(MONITOR_LEMMA2, _sample_checks(samples, sample_bytes, block_checks))
 
 
 def monitor_lipschitz(g: ComplexMatrix, lipschitz: float) -> MonitorReport:
@@ -316,8 +314,6 @@ def monitor_lemma4(
     radius. A block of S samples is one ``uniform_cmatrix`` draw of
     S x N x K, the stream a per-sample loop would draw.
     """
-    if samples < 1:
-        raise InputError(f"need at least one sample, got {samples}")
     rng = np.random.default_rng(seed)
 
     def block_checks(start, stop):
@@ -327,7 +323,7 @@ def monitor_lemma4(
         support = ball.radius * np.sqrt(row_sq_norms(d)).sum(axis=-1)
         return re_frob_inner(p, d) - support, 0.0, 1e-12 * re_frob_inner(v, v)
 
-    return _build_report(MONITOR_LEMMA4, _sample_checks(samples, block_checks))
+    return _build_report(MONITOR_LEMMA4, _sample_checks(samples, 16 * n * k, block_checks))
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, workers
-from .cmat import cmatrix, uniform_cmatrix
+from .cmat import cmatrix, frob_norm
 from .errors import (
     CmopError,
     ConfigError,
@@ -259,7 +259,8 @@ def run_check(
     """Run the requested certifiers and write their reports.
 
     Returns (all_passed, report_lines). thm3 needs the constrained optimum,
-    produced internally by the dual oracle.
+    produced internally by the dual oracle before the solve, which observes
+    each iterate's squared distance to it and keeps no iterate.
     """
     if not monitors:
         raise InputError("no monitors requested")
@@ -274,10 +275,13 @@ def run_check(
             raise InputError("w_source 'file' needs --w-file pointing at a solution")
         w = read_solution(w_path)
     else:
-        config, resolved = _configure(
-            pre, w_source, alpha_spec,
-            tau=tau, max_iter=max_iter, record_iterates="thm3" in monitors,
-        )
+        config, resolved = _configure(pre, w_source, alpha_spec, tau=tau, max_iter=max_iter)
+        if "thm3" in monitors:
+            w_opt = active_set_oracle(pre, instance).w_final
+            distances: list[float] = []
+            config = dataclasses.replace(
+                config, observe=lambda it: distances.append(frob_norm(it - w_opt) ** 2)
+            )
         result = run_solver(instance, pre, w_source, config)
         w = result.w_final
 
@@ -286,16 +290,13 @@ def run_check(
         if tag == "thm2":
             reports.append(diagnostics.monitor_thm2(result.trace, resolved, pre.lipschitz))
         elif tag == "thm3":
-            w_opt = active_set_oracle(pre, instance).w_final
             reports.extend(
-                diagnostics.monitor_thm3(
-                    result.trace, result.iterates, w_opt, resolved, pre.lipschitz
-                )
+                diagnostics.monitor_thm3(result.trace, distances, resolved, pre.lipschitz)
             )
         elif tag == "lemma2":
-            rng = np.random.default_rng(seed)
-            pairs = uniform_cmatrix(rng, 2.0 * ball.radius, (100, 2, instance.n, instance.k))
-            reports.append(diagnostics.monitor_lemma2(pre, instance, pairs))
+            reports.append(
+                diagnostics.monitor_lemma2(pre, instance, 100, seed, scale=2.0 * ball.radius)
+            )
         elif tag == "lemma4":
             # Entries uniform over [-s, s] in both parts give E||V_n||^2 =
             # 2 K s^2 / 3 = r^2: rows fall on both sides of the boundary.

@@ -119,7 +119,8 @@ def _check_w_shape(w, n, k):
 def _residual_objective(instance: ProblemInstance, w: ComplexMatrix) -> float | RealVector:
     """Direct form 1/2 ||H w - A||_F^2 from the raw data matrices; a
     ``(*lead, N, K)`` stack of w gives one value per matrix."""
-    r = instance.h @ w - instance.a
+    r = instance.h @ w
+    r -= instance.a  # in place: one M x K temporary per matrix, not two
     return 0.5 * re_frob_inner(r, r)
 
 

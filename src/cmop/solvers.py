@@ -23,7 +23,7 @@ Kernel bit-identity
 -------------------
 At paper scale (10 x 5 x 8) an iteration is a dozen numpy calls on tiny
 arrays, so the kernel is written to make as few calls as it can. Every such
-trimming keeps each output bit: ``w_final``, every recorded iterate, every
+trimming keeps each output bit: ``w_final``, every observed iterate, every
 trace field and the stop reason are the same as those of the plain loop
 kept in ``tests/kernel_reference.py``, which ``tests/test_kernel.py``
 checks over edge-case instances (N > M, A = 0, data scaled by 10^+-6,
@@ -39,6 +39,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
+from collections.abc import Callable
 
 import numpy as np
 
@@ -81,16 +82,16 @@ class SolverConfig:
     in (0, 1), resolved as that fraction of the mode's guaranteed step
     interval: (0, 2/L) for plain descent, (0, 1/L) for the projected
     method. ``tau`` is the stopping tolerance on the per-iteration
-    objective decrease. Every step is recorded in the trace;
-    ``record_iterates`` keeps W^0 .. W^T as well. ``time_iterations`` opts
-    into wall-clock timing per iteration; it is off by default so traces
-    are bit-reproducible.
+    objective decrease. Every step is recorded in the trace; ``observe``,
+    if given, is called with each iterate W^0 .. W^T in turn, a new complex
+    N x K matrix each time. ``time_iterations`` opts into wall-clock timing
+    per iteration; it is off by default so traces are bit-reproducible.
     """
 
     alpha: float | str
     tau: float = 1e-12
     max_iter: int = 100_000
-    record_iterates: bool = False
+    observe: Callable[[ComplexMatrix], object] | None = None
     time_iterations: bool = False
 
     def __post_init__(self):
@@ -117,8 +118,7 @@ class IterationRecord:
 
 @dataclasses.dataclass
 class SolveResult:
-    """Solver output. ``trace`` is empty for the direct methods;
-    ``iterates`` holds W^0 .. W^T when iterate recording was requested."""
+    """Solver output. ``trace`` is empty for the direct methods."""
 
     w_final: ComplexMatrix
     objective: float
@@ -126,7 +126,6 @@ class SolveResult:
     converged: bool
     stop_reason: str
     trace: list[IterationRecord]
-    iterates: list[ComplexMatrix] | None = None
 
 
 def per_iteration_flops(n: int, k: int) -> int:
@@ -185,9 +184,9 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
     real-stacked, in which F(W) = 1/2 Re<W, G W> - Re<W, B> + const.
     ``project`` (None for plain descent) is applied to the start and after
     every step; ``to_complex`` maps an iterate to a new complex matrix for
-    the result. ``flops`` is the per-iteration count recorded in the trace.
-    An iterate that overflows under a long step raises no numpy warning:
-    the divergence rule stops the run and its stop reason reports it.
+    the result and ``config.observe``. ``flops`` is the per-iteration count
+    in the trace. An iterate that overflows under a long step raises no
+    numpy warning: the divergence rule stops the run and reports it.
     """
     if project is not None:
         w = project(w)
@@ -200,9 +199,9 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
     rise = -max(tau, _RISE_FLOOR * f)
     timed = config.time_iterations
     trace: list[IterationRecord] = []
-    iterates: list[ComplexMatrix] | None = None
-    if config.record_iterates:
-        iterates = [to_complex(w)]
+    observe = config.observe
+    if observe is not None:
+        observe(to_complex(w))
 
     stop_reason = STOP_MAX_ITER
     iterations = 0
@@ -229,8 +228,8 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         if timed:
             elapsed = time.perf_counter_ns() - t0
         trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
-        if iterates is not None:
-            iterates.append(to_complex(w_next))
+        if observe is not None:
+            observe(to_complex(w_next))
         w, f = w_next, f_next
         iterations = t + 1
         if not math.isfinite(f) or f > f_limit:
@@ -247,7 +246,6 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         converged=stop_reason == STOP_DECREASE,
         stop_reason=stop_reason,
         trace=trace,
-        iterates=iterates,
     )
 
 
@@ -461,7 +459,8 @@ def _dual_ascent(g, b, eta, lam, point, tol, budget):
     """
     used = 0
     start = np.sqrt(row_sq_norms(b) / eta) - np.real(np.diag(g))
-    if not np.any(lam) and np.max(row_sq_norms(point[0])) > eta and np.max(start) > 0.0:
+    jump = not np.any(lam) and np.max(row_sq_norms(point[0])) > eta and np.max(start) > 0.0
+    if jump and budget > 0:
         start = np.maximum(start, 0.0)
         found = _dual_point(g, b, eta, start)
         used += 1
@@ -537,7 +536,8 @@ def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResul
         mu = _PROX_WEIGHT * top
         g = pre.g + mu * np.eye(len(lam))
         w = np.zeros_like(pre.b)
-        while True:
+        res = kkt_residuals_for(pre, instance, w, lam)
+        while factorizations < _ORACLE_BUDGET:
             b = pre.b + mu * w
             point = _dual_point(g, b, eta, lam)
             factorizations += 1
@@ -551,7 +551,7 @@ def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResul
             factorizations += used
             w = point[0]
             res = kkt_residuals_for(pre, instance, w, lam)
-            if kkt_passes(res, eta, lam, _ORACLE_TOL) or factorizations >= _ORACLE_BUDGET:
+            if kkt_passes(res, eta, lam, _ORACLE_TOL):
                 break
 
     if not kkt_passes(res, eta, lam, _ORACLE_TOL):

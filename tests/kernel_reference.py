@@ -94,9 +94,8 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         raise InputError("objective is non-finite at the initial iterate")
     f_start = f
     trace = []
-    iterates = None
-    if config.record_iterates:
-        iterates = [to_complex(w)]
+    if config.observe is not None:
+        config.observe(to_complex(w))
 
     stop_reason = STOP_MAX_ITER
     iterations = 0
@@ -117,8 +116,8 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         step_norm = frob_norm(delta)
         elapsed = time.perf_counter_ns() - t0 if config.time_iterations else 0
         trace.append(IterationRecord(t, f, decrease, grad_norm, step_norm, flops, elapsed))
-        if iterates is not None:
-            iterates.append(to_complex(w_next))
+        if config.observe is not None:
+            config.observe(to_complex(w_next))
         w, f = w_next, f_next
         iterations = t + 1
         if not np.isfinite(f) or f > _DIVERGENCE_FACTOR * f_start:
@@ -136,5 +135,4 @@ def _fixed_step_loop(w, g, b, const, alpha, flops, config, project, to_complex):
         converged=stop_reason == STOP_DECREASE,
         stop_reason=stop_reason,
         trace=trace,
-        iterates=iterates,
     )

@@ -31,14 +31,18 @@ def _re_inner(x, y):
     return float(np.vdot(x, y).real)
 
 
-def monitor_lemma2(pre, instance, pairs):
+def monitor_lemma2(pre, instance, samples, seed, scale):
+    rng = np.random.default_rng(seed)
+    n, k = pre.b.shape
     checks = []
-    for idx, (w, wt) in enumerate(pairs):
+    for idx in range(samples):
+        w = draw_cmatrix(rng, scale, (n, k))
+        wt = draw_cmatrix(rng, scale, (n, k))
         r_w = instance.h @ w - instance.a
         r_wt = instance.h @ wt - instance.a
         f_w = 0.5 * _re_inner(r_w, r_w)
         f_wt = 0.5 * _re_inner(r_wt, r_wt)
-        lin = _re_inner(np.asarray(w) - np.asarray(wt), pre.g @ wt - pre.b)
+        lin = _re_inner(w - wt, pre.g @ wt - pre.b)
         checks.append((idx, f_w, f_wt + lin, 1e-9 * (1.0 + abs(f_w))))
     return _build_report(MONITOR_LEMMA2, checks)
 

@@ -118,13 +118,15 @@ def test_c04_projected_descent_monitors():
         w_opt = active_set_oracle(pre, inst).w_final
         for frac in (0.5, 0.9):
             alpha = frac / pre.lipschitz
+            dists = []
             res = pgd_solve(
                 pre, inst, zero_w(inst), ball,
-                SolverConfig(alpha=alpha, tau=1e-14, max_iter=400_000, record_iterates=True),
+                SolverConfig(
+                    alpha=alpha, tau=1e-14, max_iter=400_000,
+                    observe=lambda w: dists.append(frob_norm(w - w_opt) ** 2),
+                ),
             )
-            dec, fejer = monitor_thm3(
-                res.trace, res.iterates, w_opt, alpha, pre.lipschitz
-            )
+            dec, fejer = monitor_thm3(res.trace, dists, alpha, pre.lipschitz)
             violations += len(dec.violations) + len(fejer.violations)
     report(
         "C4 projected-descent monitors (alpha in {0.5,0.9}/L, 20 seeds, zero violations)",
@@ -179,13 +181,14 @@ def test_c07_real_stacked_mirror():
     for seed in ACCEPT_SEEDS[:10]:
         inst, pre = problem(seed)
         ball = RowBall.for_power_budget(inst.eta)
-        cfg = SolverConfig(
-            alpha=0.9 / pre.lipschitz, tau=1e-300, max_iter=100, record_iterates=True
+        seen_a, seen_b = [], []
+        step = dict(alpha=0.9 / pre.lipschitz, tau=1e-300, max_iter=100)
+        pgd_solve(pre, inst, zero_w(inst), ball, SolverConfig(**step, observe=seen_a.append))
+        real_augmented_pgd(
+            pre, inst, zero_w(inst), ball, SolverConfig(**step, observe=seen_b.append)
         )
-        a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
-        b = real_augmented_pgd(pre, inst, zero_w(inst), ball, cfg)
-        assert len(a.iterates) == len(b.iterates) == 101
-        for wa, wb in zip(a.iterates, b.iterates):
+        assert len(seen_a) == len(seen_b) == 101
+        for wa, wb in zip(seen_a, seen_b):
             worst = max(worst, float(np.max(np.abs(wa - wb))))
     report(
         "C7 real-stacked mirror (100 iterations x 10 seeds, <=1e-12 entrywise)",

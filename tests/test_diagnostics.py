@@ -20,6 +20,7 @@ from cmop import (
     SolverConfig,
     active_set_oracle,
     closed_form_unconstrained,
+    frob_norm,
     kkt_check,
     monitor_lemma2,
     monitor_lemma4,
@@ -158,34 +159,35 @@ class TestMonitorThm2:
 
 class TestMonitorThm3:
     def _pgd_run(self, seed, frac):
+        """A pgd run, the squared distances of W^0 .. W^T to the optimum,
+        the step, the precomputed data, the iterates and the optimum."""
         inst = make_instance(seed)
         pre = precompute(inst)
         ball = RowBall.for_power_budget(inst.eta)
         alpha = frac / pre.lipschitz
-        cfg = SolverConfig(alpha=alpha, tau=1e-14, record_iterates=True)
+        seen = []
+        cfg = SolverConfig(alpha=alpha, tau=1e-14, observe=seen.append)
         res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         w_opt = active_set_oracle(pre, inst).w_final
-        return res, w_opt, alpha, pre
+        dists = [frob_norm(w - w_opt) ** 2 for w in seen]
+        return res, dists, alpha, pre, seen, w_opt
 
     def test_passes_on_projected_trace(self):
-        res, w_opt, alpha, pre = self._pgd_run(0, 0.9)
-        dec, fejer = monitor_thm3(res.trace, res.iterates, w_opt, alpha, pre.lipschitz)
+        res, dists, alpha, pre, *_ = self._pgd_run(0, 0.9)
+        dec, fejer = monitor_thm3(res.trace, dists, alpha, pre.lipschitz)
         assert dec.passed and fejer.passed
 
     def test_constant_trace_at_optimum(self):
-        inst = make_instance(1)
-        pre = precompute(inst)
-        w_opt = active_set_oracle(pre, inst).w_final
         rec = IterationRecord(
             iter=0, objective=1.0, decrease=0.0, grad_norm=0.0, step_norm=0.0,
             flops=0, elapsed_ns=0,
         )
-        dec, fejer = monitor_thm3([rec], [w_opt, w_opt], w_opt, 1e-4, pre.lipschitz)
+        dec, fejer = monitor_thm3([rec], [0.0, 0.0], 1e-4, 4.0)
         assert dec.passed and fejer.passed
 
     def test_out_of_interval_step_still_evaluates(self):
-        res, w_opt, alpha, pre = self._pgd_run(2, 1.5)
-        dec, fejer = monitor_thm3(res.trace, res.iterates, w_opt, alpha, pre.lipschitz)
+        res, dists, alpha, pre, *_ = self._pgd_run(2, 1.5)
+        dec, fejer = monitor_thm3(res.trace, dists, alpha, pre.lipschitz)
         # The literal inequalities are reported either way; with the step
         # outside (0, 1/L) the decrease coefficient is negative, so that
         # report passes trivially. No claim is made about the other one.
@@ -193,72 +195,75 @@ class TestMonitorThm3:
         assert isinstance(fejer.passed, bool)
 
     def test_misaligned_lengths_rejected(self):
-        res, w_opt, alpha, pre = self._pgd_run(3, 0.9)
+        res, dists, alpha, pre, *_ = self._pgd_run(3, 0.9)
         with pytest.raises(InputError):
-            monitor_thm3(res.trace, res.iterates[:-2], w_opt, alpha, pre.lipschitz)
+            monitor_thm3(res.trace, dists[:-2], alpha, pre.lipschitz)
 
     def test_empty_trace_rejected(self):
         with pytest.raises(InputError):
-            monitor_thm3([], [np.zeros((1, 1), dtype=complex)], np.zeros((1, 1)), 1e-3, 1.0)
+            monitor_thm3([], [0.0], 1e-3, 1.0)
 
     def test_flags_adversarial_iterates(self):
-        res, w_opt, alpha, pre = self._pgd_run(4, 0.9)
-        bad = list(res.iterates)
-        bad[1] = bad[1] + 10.0  # teleport one iterate away from the optimum
-        _, fejer = monitor_thm3(res.trace, bad, w_opt, alpha, pre.lipschitz)
+        res, dists, alpha, pre, seen, w_opt = self._pgd_run(4, 0.9)
+        bad = list(dists)
+        # Teleport W^1 away from the optimum.
+        bad[1] = frob_norm(seen[1] + 10.0 - w_opt) ** 2
+        _, fejer = monitor_thm3(res.trace, bad, alpha, pre.lipschitz)
         assert not fejer.passed
 
     def test_flags_adversarial_decrease(self):
-        res, w_opt, alpha, pre = self._pgd_run(5, 0.9)
+        res, dists, alpha, pre, *_ = self._pgd_run(5, 0.9)
         doctored = [dataclasses.replace(rec, decrease=0.0) for rec in res.trace]
-        dec, _ = monitor_thm3(doctored, res.iterates, w_opt, alpha, pre.lipschitz)
+        dec, _ = monitor_thm3(doctored, dists, alpha, pre.lipschitz)
         assert not dec.passed
 
     def test_reports_are_pure(self):
-        res, w_opt, alpha, pre = self._pgd_run(6, 0.9)
-        first = monitor_thm3(res.trace, res.iterates, w_opt, alpha, pre.lipschitz)
-        second = monitor_thm3(res.trace, res.iterates, w_opt, alpha, pre.lipschitz)
+        res, dists, alpha, pre, *_ = self._pgd_run(6, 0.9)
+        first = monitor_thm3(res.trace, dists, alpha, pre.lipschitz)
+        second = monitor_thm3(res.trace, dists, alpha, pre.lipschitz)
         assert first == second
+
+    def test_distances_and_step_norms_match_the_iterates(self):
+        # The Fejer check's terms are ||W^t - W*||^2 and the trace's
+        # step_norm, which must carry the bits of ||W^t - W^{t+1}||.
+        res, *_, seen, _ = self._pgd_run(7, 0.9)
+        for t, rec in enumerate(res.trace):
+            assert rec.step_norm == frob_norm(seen[t] - seen[t + 1])
 
 
 class TestMonitorLemma2:
     def test_equal_pair_is_equality(self):
+        # At scale 0 every pair is (0, 0): both sides are F(0).
         inst = make_instance(0)
         pre = precompute(inst)
-        w = random_w(np.random.default_rng(63))
-        rep = monitor_lemma2(pre, inst, [(w, w)])
-        assert rep.passed
+        rep = monitor_lemma2(pre, inst, 5, 63, 0.0)
+        assert rep.passed and rep.worst_slack == 0.0
 
     def test_random_pairs_pass(self):
         inst = make_instance(1)
         pre = precompute(inst)
-        rng = np.random.default_rng(64)
-        pairs = [(random_w(rng), random_w(rng)) for _ in range(100)]
-        rep = monitor_lemma2(pre, inst, pairs)
+        rep = monitor_lemma2(pre, inst, 100, 64, 2.0)
         assert rep.passed
         assert rep.worst_slack >= -1e-9
 
     def test_line_through_optimum(self):
-        inst = make_instance(2)
+        # With A = 0 the optimum is W* = 0, where F and its gradient vanish:
+        # pairs drawn at a small scale around it pass by their quadratic
+        # remainder 1/2 ||H (W - W')||^2 alone, of the order of scale^2.
+        inst = dataclasses.replace(make_instance(2), a=np.zeros((10, 8), dtype=complex))
         pre = precompute(inst)
-        w_opt = closed_form_unconstrained(pre)
-        d = random_w(np.random.default_rng(65), scale=0.5)
-        rep = monitor_lemma2(pre, inst, [(w_opt + t * d, w_opt) for t in (-1.0, 0.5, 2.0)])
-        assert rep.passed
+        rep = monitor_lemma2(pre, inst, 100, 65, 1e-6)
+        assert rep.passed and 0.0 < rep.worst_slack < 1e-6
 
     def test_flags_corrupted_linearization(self):
         # Self-test: feeding cached data whose linear term is wrong must
-        # surface as convexity violations. Nearby pairs make the bogus
-        # linear term dominate the true quadratic remainder.
+        # surface as convexity violations. Pairs drawn at a small scale make
+        # the bogus linear term dominate the true quadratic remainder.
         inst = make_instance(3)
         pre = precompute(inst)
         bad_pre = dataclasses.replace(pre, b=3.0 * pre.b)
-        rng = np.random.default_rng(66)
-        pairs = []
-        for _ in range(50):
-            base = random_w(rng)
-            pairs.append((base + 0.01 * random_w(rng, scale=1.0), base))
-        rep = monitor_lemma2(bad_pre, inst, pairs)
+        assert monitor_lemma2(pre, inst, 50, 66, 0.01).passed
+        rep = monitor_lemma2(bad_pre, inst, 50, 66, 0.01)
         assert not rep.passed
 
 
@@ -437,17 +442,32 @@ class TestReportSerialization:
         assert "lambda_hat" in lines[1]
 
 
-def test_certify_bench_small_run(tmp_path):
+def _certify_bench(tmp_path, *options):
+    """Run tools/certify_bench.py with ``options`` in ``tmp_path``; its run."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "certify_bench.py"), "--small", "--label", "smoke"],
+        [sys.executable, str(ROOT / "tools" / "certify_bench.py"), *options, "--label", "smoke"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    run = json.loads((tmp_path / "BENCH_certify.json").read_text())["smoke"]
+    return json.loads((tmp_path / "BENCH_certify.json").read_text())["smoke"]
+
+
+def test_certify_bench_small_peaks_run(tmp_path):
+    peaks = _certify_bench(tmp_path, "--peaks", "--small")["peaks"]
+    assert peaks["gen"] == "--seed 5 --m 40 --n 10 --k 16"
+    assert set(peaks["checks"]) == {"kkt", "lemma2", "lemma4", "thm3-f0.9", "thm3-f0.5"}
+    for check in peaks["checks"].values():
+        assert check["maxrss_mb"] > 0 and check["hwm_mb"] > 0 and check["rise_mb"] >= 0
+        assert check["wall_s"] > 0
+        assert len(check["report_sha256"]) == 64
+
+
+def test_certify_bench_small_run(tmp_path):
+    run = _certify_bench(tmp_path, "--small")
     assert {"nproc", "blas", "blas_version", "blas_threads"} <= set(run["machine"])
     assert set(run["shapes"]) == {"16x8x8", "16x10x8"}
     for shape in run["shapes"].values():

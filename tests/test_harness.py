@@ -4,6 +4,7 @@ its exit-status contract."""
 
 import collections
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +29,7 @@ from cmop import (
 import cmop.harness as harness
 import cmop.workers as workers
 from cmop.cli import EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
-from cmop.errors import InputError
+from cmop.errors import InputError, SingularSystemError
 from cmop.harness import METHODS, default_seed, iterations_to_threshold, parse_alpha_spec
 from cmop.solvers import SolverConfig, gd_solve
 from helpers import make_instance, read_trace, zero_w
@@ -429,6 +430,62 @@ class TestRunCheck:
             instance_path, w_source="file", monitors=["kkt"], w_path=tmp_path / "w.json",
         )
         assert passed
+
+    def test_thm3_runs_the_oracle_before_the_solve(self, tmp_path):
+        # At range 3e153 the oracle's dual value and the solve's initial
+        # objective both overflow. thm3 needs the optimum before the solve
+        # starts, so its error is the oracle's, wherever thm3 is listed.
+        path = tmp_path / "big.cmop.json"
+        write_instance(gen_instance(seed=0, rng_range=3e153), path)
+        for monitors in (["thm3"], ["kkt", "thm3"]):
+            with pytest.raises(SingularSystemError):
+                run_check(path, "pgd", monitors)
+        with pytest.raises(InputError, match="initial iterate"):
+            run_check(path, "pgd", ["kkt"])
+
+
+M, N, K = 300, 60, 64
+
+
+@pytest.fixture(scope="module")
+def mid_instance(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mid") / "mid.cmop.json"
+    write_instance(gen_instance(m=M, n=N, k=K, eta=0.5, seed=0), path)
+    return path
+
+
+def _traced_peak(path, w_source, monitors, alpha_spec):
+    """The peak traced memory of one run_check, in bytes."""
+    tracemalloc.start()
+    try:
+        passed, _ = run_check(path, w_source, monitors, alpha_spec=alpha_spec, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed
+    return peak
+
+
+# thm3 keeps one distance per iterate, not the iterate, and the sample
+# monitors hold one block of samples at a time: at M x N x K = 300 x 60 x 64
+# thm3 sees 110 iterates (61 kB each) at f0.9 and 199 at f0.5, lemma2
+# draws 100 pairs and lemma4 500 samples.
+@pytest.mark.parametrize("w_source, monitors, alpha_spec", [
+    ("pgd", ["thm3"], "f0.9"),
+    ("pgd", ["thm3"], "f0.5"),
+    ("oracle", ["lemma2"], "f0.5"),
+    ("oracle", ["lemma4"], "f0.5"),
+], ids=["thm3-f0.9", "thm3-f0.5", "lemma2", "lemma4"])
+def test_check_memory_stays_within_a_few_blocks_of_kkt(
+    mid_instance, capsys, w_source, monitors, alpha_spec
+):
+    kkt = _traced_peak(mid_instance, w_source, ["kkt"], alpha_spec)
+    peak = _traced_peak(mid_instance, w_source, monitors, alpha_spec)
+    capsys.readouterr()
+    # lemma2's largest temporary per sample, above an iterate's 16 N K bytes
+    # and lemma4's block.
+    block = 16 * max(M, 2 * N) * K
+    assert peak <= kkt + 4 * block
 
 
 class TestRunSweep:

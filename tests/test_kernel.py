@@ -1,7 +1,7 @@
 """The fixed-step kernel against its reference copy in ``kernel_reference``:
-every output bit of gd, pgd and the real-stacked mirror is the same, and
-the kernel keeps its contracts with callers that wrap ``project_rows`` or
-time iterations."""
+every output bit of gd, pgd and the real-stacked mirror is the same, the
+observed iterates included, and the kernel keeps its contracts with
+callers that observe iterates, wrap ``project_rows`` or time iterations."""
 
 import dataclasses
 import json
@@ -53,12 +53,13 @@ def assert_bit_identical(new, ref):
     assert _bits(np.float64(new.objective)) == _bits(np.float64(ref.objective))
     np.testing.assert_array_equal(_bits(new.w_final), _bits(ref.w_final))
     assert [_record_bits(r) for r in new.trace] == [_record_bits(r) for r in ref.trace]
-    if ref.iterates is None:
-        assert new.iterates is None
-    else:
-        assert len(new.iterates) == len(ref.iterates)
-        for w_new, w_ref in zip(new.iterates, ref.iterates):
-            np.testing.assert_array_equal(_bits(w_new), _bits(w_ref))
+
+
+def _solve(inst, pre, method, w0, observe, **options):
+    """A solve and the iterates it passed to ``observe`` (None if off)."""
+    seen = [] if observe else None
+    config = SolverConfig(observe=seen.append if observe else None, **options)
+    return run_solver(inst, pre, method, config, w0=w0), seen
 
 
 def _with_negative_zeros(rng, x, real=True):
@@ -91,7 +92,7 @@ def kernel_cases(draw):
         a, w0 = _with_negative_zeros(rng, a), _with_negative_zeros(rng, w0)
     options = dict(
         max_iter=draw(st.sampled_from([1, 7, 400])),
-        record_iterates=draw(st.booleans()),
+        observe=draw(st.booleans()),
     )
     return ProblemInstance(h=h, a=a, eta=eta), w0, options
 
@@ -108,12 +109,17 @@ def test_kernel_matches_reference_bit_for_bit(method, alpha, case):
     pre = precompute(inst)
     if isinstance(alpha, float):
         alpha /= pre.lipschitz
-    config = SolverConfig(alpha=alpha, **options)
-    new = run_solver(inst, pre, method, config, w0=w0)
+    new, new_seen = _solve(inst, pre, method, w0, alpha=alpha, **options)
     with reference.installed():
-        ref = run_solver(inst, pre, method, config, w0=w0)
+        ref, ref_seen = _solve(inst, pre, method, w0, alpha=alpha, **options)
     event(f"{method}: {ref.stop_reason}")
     assert_bit_identical(new, ref)
+    if ref_seen is None:
+        assert new_seen is None
+    else:
+        assert len(new_seen) == len(ref_seen) == ref.iterations + 1
+        for w_new, w_ref in zip(new_seen, ref_seen):
+            np.testing.assert_array_equal(_bits(w_new), _bits(w_ref))
 
 
 @pytest.mark.parametrize("rise, stop", [(3e5, STOP_DIVERGED), (3e6, STOP_DIVERGED)])
@@ -166,7 +172,7 @@ def test_projections_and_row_norms_match_reference_bit_for_bit(n, k, seed, radiu
 @pytest.mark.parametrize("options", [
     dict(alpha="f0.9"),
     dict(alpha="f0.5", max_iter=3),
-    dict(alpha="f0.9", record_iterates=True),
+    dict(alpha="f0.9", observe=[].append),
 ])
 def test_a_wrapped_project_rows_sees_every_projection(monkeypatch, options):
     calls = []
@@ -181,6 +187,21 @@ def test_a_wrapped_project_rows_sees_every_projection(monkeypatch, options):
     result = pgd_solve(precompute(inst), inst, zero_w(inst), RowBall(0.5), SolverConfig(**options))
     assert result.iterations >= 2
     assert len(calls) == result.iterations + 1  # the start, then once per step
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_observe_sees_each_iterate_once_and_changes_nothing(method):
+    inst = make_instance(5)
+    pre = precompute(inst)
+    seen = []
+    observed = run_solver(inst, pre, method, SolverConfig(alpha="f0.9", observe=seen.append))
+    assert observed.iterations >= 2
+    assert len(seen) == observed.iterations + 1  # W^0 .. W^T
+    assert len({id(w) for w in seen}) == len(seen)  # a new matrix each call
+    assert all(w.dtype == np.complex128 and w.shape == (inst.n, inst.k) for w in seen)
+    np.testing.assert_array_equal(_bits(seen[0]), _bits(zero_w(inst)))
+    np.testing.assert_array_equal(_bits(seen[-1]), _bits(observed.w_final))
+    assert_bit_identical(observed, run_solver(inst, pre, method, SolverConfig(alpha="f0.9")))
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -109,11 +109,10 @@ def _run_lemma2(n, k, m, samples, seed, scale, fault):
     pre = precompute(inst)
     if fault:
         pre = dataclasses.replace(pre, b=3.0 * pre.b)
-    # Nearby pairs let a wrong linear term beat the quadratic remainder.
-    base = uniform_cmatrix(rng, 1.0, (samples, n, k))
-    step = uniform_cmatrix(rng, 1.0, (samples, n, k)) * rng.choice([0.01, 1.0], (samples, 1, 1))
-    pairs = list(zip(base + step, base))
-    return monitor_lemma2(pre, inst, pairs), reference.monitor_lemma2(pre, inst, pairs), None
+    # Pairs at a small scale let a wrong linear term beat the quadratic
+    # remainder.
+    args = (pre, inst, samples, seed, 0.01 if fault else 1.0)
+    return monitor_lemma2(*args), reference.monitor_lemma2(*args), None
 
 
 def _run_lipschitz(n, k, m, samples, seed, scale, fault):
@@ -158,6 +157,44 @@ def test_batched_report_matches_per_sample_loop(monitor, case):
     if fault and monitor != "lemma2":
         # Every check fails: the one Lipschitz check, or every lemma4 sample.
         assert len(batched.violations) == (1 if monitor == "lipschitz" else samples)
+
+
+# (bytes per sample, samples per block): 16 x 10 x 8 at 1280 (lemma4) and
+# 2560 (lemma2), the most that still gives 64, 300 x 60 x 64 at 61,440
+# (lemma4) and 307,200 (lemma2), and 1000 x 200 x 256 at 819,200 (lemma4).
+@pytest.mark.parametrize("sample_bytes, size", [
+    (1280, 64), (2560, 64), (4096, 64), (4097, 63), (61_440, 4), (307_200, 1), (819_200, 1),
+])
+def test_block_size_follows_the_byte_budget(sample_bytes, size):
+    sizes = []
+
+    def block_checks(start, stop):
+        sizes.append(stop - start)
+        return 0.0, 0.0, 0.0
+
+    items = list(cmop.diagnostics._sample_checks(130, sample_bytes, block_checks))
+    assert [item[0] for item in items] == list(range(130))
+    assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
+
+
+@pytest.mark.parametrize("block_bytes", [1, 5000])
+@pytest.mark.parametrize("monitor", ["lemma2", "lemma4"])
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, monitor, block_bytes):
+    # 1 byte gives blocks of one sample; 5000 gives 7 (lemma4) or 3 (lemma2)
+    # at 10 x 5 x 8, against 64 by default: every report bit is the same.
+    rng = np.random.default_rng(12)
+    inst = ProblemInstance(h=uniform_cmatrix(rng, 1.0, (10, 5)),
+                           a=uniform_cmatrix(rng, 1.0, (10, 8)), eta=1.0)
+    pre = precompute(inst)
+
+    def run():
+        if monitor == "lemma2":
+            return monitor_lemma2(pre, inst, 150, 3, 2.0)
+        return monitor_lemma4(RowBall(1.0), 5, 8, 150, 3, 0.5)
+
+    default = run()
+    monkeypatch.setattr(cmop.diagnostics, "_BLOCK_BYTES", block_bytes)
+    assert run() == default
 
 
 @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e6])

@@ -122,3 +122,26 @@ def test_exhausted_budget_raises_with_the_last_point(monkeypatch, m, n):
     assert err.best_w.shape == (n, 8) and err.best_lambda.shape == (n,)
     assert err.best_residuals == kkt_residuals_for(pre, inst, err.best_w, err.best_lambda)
     assert not kkt_passes(err.best_residuals, eta, err.best_lambda, solvers._ORACLE_TOL)
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+@pytest.mark.parametrize("m, n", [(16, 8), (4, 6)], ids=["regular", "n-above-m"])
+def test_no_factorization_beyond_the_budget(monkeypatch, m, n, budget):
+    # Every trial point is one factorization: the first at lambda = 0, the
+    # diagonal-G jump, each Armijo trial and each proximal step.
+    monkeypatch.setattr(solvers, "_ORACLE_BUDGET", budget)
+    calls = []
+    dual_point = solvers._dual_point
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return dual_point(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "_dual_point", counting)
+    inst = make_instance(0, m=m, n=n, k=8, eta=0.01)
+    with pytest.raises(OracleError) as info:
+        active_set_oracle(precompute(inst), inst)
+    assert len(calls) == budget
+    assert f"after {budget} factorizations" in str(info.value)
+    err = info.value
+    assert err.best_w.shape == (n, 8) and err.best_lambda.shape == (n,)

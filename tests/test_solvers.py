@@ -237,9 +237,11 @@ class TestPgdSolve:
         inst = make_instance(7)
         pre = precompute(inst)
         ball = RowBall.for_power_budget(inst.eta)
-        cfg = SolverConfig(alpha="f0.9", tau=1e-12, record_iterates=True)
+        seen = []
+        cfg = SolverConfig(alpha="f0.9", tau=1e-12, observe=seen.append)
         res = pgd_solve(pre, inst, 10.0 * random_w(np.random.default_rng(8)), ball, cfg)
-        for it in res.iterates:
+        assert len(seen) == res.iterations + 1
+        for it in seen:
             assert is_feasible(it, ball, tol=1e-12)
 
     def test_deterministic_trace(self):
@@ -268,15 +270,16 @@ class TestPgdSolve:
         pre = precompute(inst)
         ball = RowBall.for_power_budget(inst.eta)
         alpha = 0.9 / pre.lipschitz
-        cfg = SolverConfig(alpha=alpha, tau=1e-12, record_iterates=True)
-        res = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
+        seen = []
+        cfg = SolverConfig(alpha=alpha, tau=1e-12, observe=seen.append)
+        pgd_solve(pre, inst, zero_w(inst), ball, cfg)
         w_opt = active_set_oracle(pre, inst).w_final
-        slack = 1e-9 * (1 + frob_norm(res.iterates[0] - w_opt) ** 2)
+        slack = 1e-9 * (1 + frob_norm(seen[0] - w_opt) ** 2)
         coeff = 1.0 - alpha * pre.lipschitz
-        for t in range(len(res.iterates) - 1):
-            d0 = frob_norm(res.iterates[t] - w_opt) ** 2
-            d1 = frob_norm(res.iterates[t + 1] - w_opt) ** 2
-            step = frob_norm(res.iterates[t] - res.iterates[t + 1]) ** 2
+        for t in range(len(seen) - 1):
+            d0 = frob_norm(seen[t] - w_opt) ** 2
+            d1 = frob_norm(seen[t + 1] - w_opt) ** 2
+            step = frob_norm(seen[t] - seen[t + 1]) ** 2
             assert d0 >= d1 + coeff * step - slack
 
 
@@ -286,16 +289,14 @@ class TestRealAugmentedMirror:
             inst = make_instance(seed)
             pre = precompute(inst)
             ball = RowBall.for_power_budget(inst.eta)
-            cfg = SolverConfig(
-                alpha=0.9 / pre.lipschitz,
-                tau=1e-300,
-                max_iter=100,
-                record_iterates=True,
+            seen_a, seen_b = [], []
+            step = dict(alpha=0.9 / pre.lipschitz, tau=1e-300, max_iter=100)
+            pgd_solve(pre, inst, zero_w(inst), ball, SolverConfig(**step, observe=seen_a.append))
+            real_augmented_pgd(
+                pre, inst, zero_w(inst), ball, SolverConfig(**step, observe=seen_b.append)
             )
-            a = pgd_solve(pre, inst, zero_w(inst), ball, cfg)
-            b = real_augmented_pgd(pre, inst, zero_w(inst), ball, cfg)
-            assert len(a.iterates) == len(b.iterates)
-            for wa, wb in zip(a.iterates, b.iterates):
+            assert len(seen_a) == len(seen_b) == 101
+            for wa, wb in zip(seen_a, seen_b):
                 assert np.max(np.abs(wa - wb)) <= 1e-12
 
     def test_separable_case(self):

@@ -4,6 +4,7 @@ Usage, from the root of a source checkout (it imports cmop from ``src``)::
 
     python3 tools/certify_bench.py --label after    # adds a run to ./BENCH_certify.json
     python3 tools/certify_bench.py --small          # two rounds: a smoke test
+    python3 tools/certify_bench.py --peaks --label change-peaks
 
 At 16 x 8 x 8 and 16 x 10 x 8 (eta 0.01, the certify workload's shapes) it
 runs ``run_check`` with the pgd iterate and the monitors
@@ -18,6 +19,16 @@ any arguments, so the script times any commit that has these functions.
 The record also holds the machine: CPU count, BLAS library, version and
 thread count.
 
+``--peaks`` measures memory instead. On the ``cmop gen --seed 5 --m 1000
+--n 200 --k 256`` instance (``--small``: 40 x 10 x 16) it runs five checks,
+each ``PEAK_ROUNDS`` times in a fresh child process, in turn: ``kkt``,
+``lemma2`` and ``lemma4`` from ``--w-source oracle``, and ``thm3`` from
+``--w-source pgd`` at ``f0.9`` and at ``f0.5``. A child runs one
+``cmop.cli.main`` and reports its ``ru_maxrss``, its VmHWM before and
+after the call, and the call's wall time. The run records the median of
+each per check, with the SHA-256 of the check's report file, so the runs
+of two commits show whether the reports are byte-identical.
+
 The output file maps labels to runs, so one file can hold the runs of two
 commits; ``--label`` replaces only the entry with that label.
 """
@@ -26,9 +37,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -58,6 +71,78 @@ TIMED = {
     "thm3": (diagnostics, "monitor_thm3"),
     "oracle": (harness, "active_set_oracle"),
 }
+
+
+# cmop gen options of the peaks instance
+PEAK_SHAPE = ["--seed", "5", "--m", "1000", "--n", "200", "--k", "256"]
+SMALL_PEAK_SHAPE = ["--seed", "5", "--m", "40", "--n", "10", "--k", "16"]
+PEAK_ROUNDS = 3
+# check name: its ``cmop check`` options
+PEAK_CHECKS = {
+    "kkt": ["--w-source", "oracle", "--monitors", "kkt"],
+    "lemma2": ["--w-source", "oracle", "--monitors", "lemma2"],
+    "lemma4": ["--w-source", "oracle", "--monitors", "lemma4"],
+    "thm3-f0.9": ["--w-source", "pgd", "--monitors", "thm3", "--alpha", "f0.9"],
+    "thm3-f0.5": ["--w-source", "pgd", "--monitors", "thm3", "--alpha", "f0.5"],
+}
+# One cmop.cli.main call in a fresh interpreter; argv is [src, cmop argv...].
+# ru_maxrss also counts the RSS of the process that forked the child, so the
+# child reports its own VmHWM as well, before and after the call.
+_PEAK_CHILD = """
+import contextlib, io, json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from cmop.cli import main
+def hwm_mb():
+    with open("/proc/self/status") as status:
+        return next(int(l.split()[1]) for l in status if l.startswith("VmHWM:")) / 1024
+before = hwm_mb()
+t0 = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[2:])
+wall = time.perf_counter() - t0
+print(json.dumps({"exit": status, "wall_s": wall, "before_mb": before, "hwm_mb": hwm_mb(),
+                  "maxrss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def _peak_child(argv: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, str(ROOT / "src"), *argv],
+        capture_output=True, text=True, check=True,
+    )
+    child = json.loads(proc.stdout)
+    if child["exit"] != 0:
+        raise SystemExit(f"cmop {' '.join(argv)} exited {child['exit']}: {proc.stderr}")
+    return child
+
+
+def run_peaks(small: bool, work: Path) -> dict:
+    """The peaks run: per check, the medians over PEAK_ROUNDS fresh children
+    of ru_maxrss, VmHWM, its rise over the import and the wall time, and the
+    report's SHA-256. The instance is written by a child too, so this
+    process stays small next to the checks it forks."""
+    shape = SMALL_PEAK_SHAPE if small else PEAK_SHAPE
+    path = work / "peaks.cmop.json"
+    _peak_child(["gen", *shape, "-o", str(path)])
+    samples = {name: [] for name in PEAK_CHECKS}
+    reports = {}
+    for _ in range(PEAK_ROUNDS):
+        for name, options in PEAK_CHECKS.items():
+            report = work / f"{name}.txt"
+            child = _peak_child(
+                ["check", str(path), *options, "--seed", "0", "--report", str(report)]
+            )
+            child["rise_mb"] = child["hwm_mb"] - child["before_mb"]
+            samples[name].append(child)
+            reports[name] = hashlib.sha256(report.read_bytes()).hexdigest()
+    checks = {}
+    for name, runs in samples.items():
+        checks[name] = {"argv": " ".join(PEAK_CHECKS[name])}
+        for key in ("maxrss_mb", "hwm_mb", "rise_mb", "wall_s"):
+            checks[name][key] = round(statistics.median(run[key] for run in runs), 4)
+        checks[name]["report_sha256"] = reports[name]
+        print(f"{name}: {json.dumps(checks[name])}", file=sys.stderr)
+    return {"gen": " ".join(shape), "rounds": PEAK_ROUNDS, "checks": checks}
 
 
 class _Clocks:
@@ -120,16 +205,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", type=Path, default=Path("BENCH_certify.json"))
     parser.add_argument("--label", default="current", help="key of this run in the output file")
-    parser.add_argument("--small", action="store_true", help="two rounds (a smoke test)")
+    parser.add_argument("--small", action="store_true",
+                        help="two rounds, or --peaks at 40 x 10 x 16 (a smoke test)")
+    parser.add_argument("--peaks", action="store_true",
+                        help="peak RSS and wall time of five checks, each in a fresh process")
     args = parser.parse_args(argv)
 
     rounds = SMALL_ROUNDS if args.small else ROUNDS
-    run = {"machine": machine_record(), "monitors": ",".join(MONITORS), "shapes": {}}
+    run = {"machine": machine_record()}
     with tempfile.TemporaryDirectory() as work:
-        for shape in SHAPES:
-            name = "x".join(map(str, shape))
-            run["shapes"][name] = run_shape(shape, rounds, Path(work))
-            print(f"{name}: {json.dumps(run['shapes'][name]['ms_p50'])}", file=sys.stderr)
+        if args.peaks:
+            run["peaks"] = run_peaks(args.small, Path(work))
+        else:
+            run.update(monitors=",".join(MONITORS), shapes={})
+            for shape in SHAPES:
+                name = "x".join(map(str, shape))
+                run["shapes"][name] = run_shape(shape, rounds, Path(work))
+                print(f"{name}: {json.dumps(run['shapes'][name]['ms_p50'])}", file=sys.stderr)
 
     runs = json.loads(args.out.read_text()) if args.out.exists() else {}
     runs[args.label] = run
