@@ -34,18 +34,19 @@ The reader decodes a file of fewer than ``_SPLIT_CHARS`` bytes whole for
 ``_WINDOW_BYTES``, an anonymous private mmap off the malloc heap (a map of
 the file would let another process that shrinks it kill this one with
 SIGBUS), so no process holds the whole file. A first pass walks the file
-one member at a time, decoding keys and scalars and finding where each
-array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``, ``w_im`` in
-solution files) ends. A second pass reads each of those again one block of
-rows at a time and decodes it straight into its float64 array, so a read
+one member at a time, decoding keys and scalars, and finds the rows of
+each array field (``h_re``, ``h_im``, ``a_re``, ``a_im``; ``w_re``,
+``w_im`` in solution files) once, recording its blocks of rows. Every
+matrix is a view of one anonymous shared map. A second pass reads each
+block again and decodes it straight into its rows of the map, so a read
 holds one window, or one block of rows where that is longer, and that
-block's lists. When forking is safe, a forked child parses every other
-matrix (see :func:`_split_walk`); when it is not, this process parses them
-alone, which keeps the read as lean on memory. A document the walk cannot
-take, a child that fails, a short read and a file whose size, mtime or
-inode change while it is read are decoded whole for ``json.loads``. What
-the reader returns, and every error it raises, is what ``json.loads`` of
-the file would give with those fields converted.
+block's lists. When forking is safe, this process and a forked child each
+claim the next unparsed block as they are free (see :func:`_split_walk`);
+when it is not, this process parses every block alone. A document the
+walk cannot take, a child that fails, a short read and a file whose size,
+mtime or inode change while it is read are decoded whole for
+``json.loads``. What the reader returns, and every error it raises, is
+what ``json.loads`` of the file would give with those fields converted.
 
 Trace files are CSV with header
 ``iter,objective,decrease,grad_norm,step_norm,flops,elapsed_ns``, LF line
@@ -58,10 +59,10 @@ from __future__ import annotations
 import codecs
 import itertools
 import json
-import math
 import mmap
 import os
 import re
+import select
 import shutil
 import tempfile
 from pathlib import Path
@@ -193,9 +194,10 @@ class _Window:
     shrink under the read), and read with ``os.preadv`` at most
     ``_WINDOW_BYTES`` at a time, never past ``limit``. Offsets are file
     offsets. Each method that needs a byte past ``stop`` moves the bytes
-    from its ``keep`` offset (by default the one it looks at) to the front
-    and reads on; the buffer grows, by one window, only when the bytes from
-    ``keep`` fill it. A short read raises ValueError."""
+    from the offset it must keep (the one it looks at, unless ``find`` is
+    given another) to the front and reads on; the buffer grows, by one
+    window, only when the bytes from there fill it. A short read raises
+    ValueError."""
 
     def __init__(self, fd: int, limit: int):
         self.fd, self.limit = fd, limit
@@ -238,16 +240,16 @@ class _Window:
             self.stop += count
         return True
 
-    def byte(self, pos: int, keep: int | None = None) -> bytes:
+    def byte(self, pos: int) -> bytes:
         """The byte at ``pos``; b"" from ``limit`` on."""
-        if not self._has(pos, pos if keep is None else keep):
+        if not self._has(pos, pos):
             return b""
         return self.buf[pos - self.base:pos - self.base + 1]
 
-    def skip(self, pos: int, keep: int | None = None) -> int:
+    def skip(self, pos: int) -> int:
         """The first offset from ``pos`` that is not JSON whitespace, or
         ``limit``."""
-        while self._has(pos, pos if keep is None else keep):
+        while self._has(pos, pos):
             pos = self.base + _JSON_WS.match(self.buf, pos - self.base, self.stop - self.base).end()
             if pos < self.stop:
                 return pos
@@ -343,21 +345,6 @@ def _walk_object(w: _Window, parse_value) -> dict | None:
     return doc
 
 
-def _matrix_end(w: _Window, pos: int) -> tuple[int, int]:
-    """Where the matrix at ``pos`` ends if it is one, just past the first
-    ']' that follows another ']' and JSON whitespace, and the number of ']'
-    found up to there, its rows if it is a matrix; (-1, that number) if no
-    ']' does."""
-    rows, close = 0, w.find(b"]", pos)
-    while close >= 0:
-        rows += 1
-        after = w.skip(close + 1)
-        if w.byte(after) == b"]":
-            return after + 1, rows
-        close = w.find(b"]", after)
-    return -1, rows
-
-
 def _converted(value):
     """``value`` as a float64 array, or as it is if it does not convert
     (:func:`_float_array` then reports it by field name)."""
@@ -367,76 +354,51 @@ def _converted(value):
         return value
 
 
-def _row_blocks(w: _Window, start: int, end: int):
-    """Read the matrix at ``start``, predicted to end at ``end``, and yield
-    ``(first, stop, rows)`` for each block of rows once the window holds
-    bytes ``[first, stop)``: ``rows`` rows, about ``_BLOCK_NUMBERS``
-    numbers as the first row's commas count them. Rows must be joined by
-    ',' and JSON whitespace; a row runs from a '[' to the next ']'; the
-    last one must be followed, past JSON whitespace, by the matrix's own
-    ']' at ``end``. Raises ValueError where that does not hold."""
-    w.start(start, end)
-    per, pos = 0, w.skip(start + 1)
+def _matrix_rows(w: _Window, start: int) -> tuple[int, int, list]:
+    """Walk the matrix at ``start`` once: the offset just past it, its
+    width and its blocks of rows ``(first, stop, rows)``, ``rows`` rows in
+    bytes ``[first, stop)``, about ``_BLOCK_NUMBERS`` numbers a block. The
+    first row's commas count the width. A row runs from a '[' to the next
+    ']', and must be followed, past JSON whitespace, by ',' and the next
+    row or by the matrix's own ']'. Raises ValueError where that does not
+    hold, or where the rows and width would need more numbers than the
+    matrix's text can hold (L characters hold at most L / 2)."""
+    width, blocks, pos = 0, [], w.skip(start + 1)
     while True:
-        first, rows = pos, 0
-        while True:
-            close = w.find(b"]", pos, first) if w.byte(pos, first) == b"[" else -1
-            if close < 0:
-                raise ValueError("not a row")
-            if not per:
-                per = max(1, _BLOCK_NUMBERS // (w.text(pos, close).count(",") + 1))
-            rows += 1
-            pos = w.skip(close + 1, first)
-            more = w.byte(pos, first) == b","
-            if not more or rows == per:
-                break
-            pos = w.skip(pos + 1, first)
-        yield first, close + 1, rows
-        if not more:
+        keep = None if width else pos  # the first row is held whole to count its commas
+        close = w.find(b"]", pos, keep) if w.byte(pos) == b"[" else -1
+        if close < 0:
+            raise ValueError("not a row")
+        if not width:
+            width = w.text(pos, close).count(",") + 1
+            per = max(1, _BLOCK_NUMBERS // width)
+        if blocks and blocks[-1][2] < per:
+            blocks[-1] = (blocks[-1][0], close + 1, blocks[-1][2] + 1)
+        else:
+            blocks.append((pos, close + 1, 1))
+        pos = w.skip(close + 1)
+        if w.byte(pos) != b",":
             break
         pos = w.skip(pos + 1)
-    if w.byte(pos) != b"]" or pos + 1 != end:
+    if w.byte(pos) != b"]":
         raise ValueError("the rows do not end the matrix")
+    if sum(rows for _, _, rows in blocks) * width > (pos + 1 - start) // 2:
+        raise ValueError("more numbers than the text can hold")
+    return pos + 1, width, blocks
 
 
-def _parsed_rows(w: _Window, first: int, stop: int, rows: int) -> np.ndarray:
-    """The block of ``rows`` rows at ``[first, stop)``, held by ``w``, as a
-    float64 array: that text decoded by ``raw_decode`` between '[' and ']';
-    the text and lists are freed on return. Raises ValueError unless it is
-    that many rows of equal, non-zero length."""
+def _parsed_rows(w: _Window, first: int, stop: int, shape: tuple[int, int]) -> np.ndarray:
+    """The block of rows in bytes ``[first, stop)`` of the file, read into
+    ``w`` and nothing beyond them, as a float64 array: that text decoded by
+    ``raw_decode`` between '[' and ']'; the text and lists are freed on
+    return. Raises ValueError unless it is numbers of ``shape``."""
+    w.start(first, stop)
     text = "[" + w.text(first, stop) + "]"
     value, used = _DECODER.raw_decode(text)
     block = np.asarray(value, dtype=np.float64)
-    if used != len(text) or block.ndim != 2 or len(block) != rows or not block.size:
+    if used != len(text) or block.shape != shape:
         raise ValueError("not a block of rows of numbers")
     return block
-
-
-def _parsed_array(w: _Window, start: int, end: int, rows: int, empty=np.empty):
-    """The matrix of ``rows`` rows at ``start``, predicted to end at
-    ``end``, as a float64 array made by ``empty(shape)``, and ``end``. It is
-    read and decoded one block of rows at a time (:func:`_row_blocks`),
-    each assigned into the array before the next is read, so the parse
-    holds one block's text and lists at a time. Raises ValueError (or what
-    decoding or converting a row raises) where the matrix is not ``rows``
-    equal rows of numbers that end at ``end``; the file is then decoded
-    whole for ``json.loads``."""
-    array, row = None, 0
-    for first, stop, count in _row_blocks(w, start, end):
-        block = _parsed_rows(w, first, stop, count)
-        if array is None:
-            if rows * block.shape[1] > (end - start) // 2:  # L characters hold <= L / 2 numbers
-                raise ValueError("more numbers than the text can hold")
-            array = empty((rows, block.shape[1]))
-        if block.shape[1] != array.shape[1]:  # assignment would broadcast a row of one
-            raise ValueError("rows of different lengths")
-        if row + count > rows:
-            raise ValueError("more rows than predicted")
-        array[row:row + count] = block
-        row += count
-    if row != rows:
-        raise ValueError("fewer rows than predicted")
-    return array, end
 
 
 def _split_walk(w: _Window, arrays, processes: int) -> dict | None:
@@ -445,89 +407,106 @@ def _split_walk(w: _Window, arrays, processes: int) -> dict | None:
     any way.
 
     The walk reads the file once through the window: it decodes keys and
-    scalars but only predicts where each member named in ``arrays`` that
-    opens with '[' ends and how many rows it has (:func:`_matrix_end`); a
-    member named in ``arrays`` that does not becomes a float64 array if it
-    converts. The matrices are then parsed through
-    :func:`workers._run_groups`: this process parses the first group, and
-    with two processes and two matrices or more, a forked child parses
-    every other matrix straight into its slot of an anonymous shared mmap
-    and sends back its shape and end. Each process reads only its own
-    matrices, one block of rows at a time into the window it holds
-    (:func:`_parsed_array`). The result stands only if every matrix
-    converts and ends where predicted; the child's arrays are then views of
-    the shared map, adopted without a copy. Duplicate keys, a 3-D or ragged
-    array or a string holding ']' in a matrix all return None."""
-    keys, members = set(), []  # members: (key, start, end, rows)
+    scalars, and walks the rows of each member named in ``arrays`` that
+    opens with '[' once, recording its end, width and blocks of rows
+    (:func:`_matrix_rows`); a member named in ``arrays`` that does not
+    becomes a float64 array if it converts. Every matrix is then a view of
+    one anonymous shared map of exactly their numbers. Through
+    :func:`workers._run_groups`, this process and, with two processes and
+    two blocks or more, a forked child run one loop: claim the next block
+    number from a pipe, read that block's bytes into the window it holds
+    and parse it into its rows of the map (:func:`_parsed_rows`). Block
+    numbers are written to the pipe before the fork as far as it has room,
+    and by this process as it claims; while some are not in it, this
+    process claims those itself. Only this process holds the write end, so
+    both read to the pipe's end, and a child that fails never makes this
+    process wait. The result stands only if the blocks the two processes
+    parsed are every block once, each of its recorded shape. Duplicate
+    keys, a 3-D or ragged array or a string holding ']' in a matrix all
+    return None."""
+    keys, members, blocks = set(), [], []  # (key, rows, width); (member, row, first, stop, rows)
 
-    def predict(key: str, pos: int):
+    def walk_member(key: str, pos: int):
         if key in keys:
             raise ValueError("duplicate key")  # json.loads keeps the first key's position
         keys.add(key)
         if key not in arrays or w.byte(pos) != b"[":
             value, end = _value(w, pos)
             return (_converted(value) if key in arrays else value), end
-        end, rows = _matrix_end(w, pos)
-        if end < 0:
-            raise ValueError("no matrix end")
-        members.append((key, pos, end, rows))
+        end, width, found = _matrix_rows(w, pos)
+        row = 0
+        for first, stop, rows in found:
+            blocks.append((len(members), row, first, stop, rows))
+            row += rows
+        members.append((key, row, width))
         return None, end
 
-    doc = _walk_object(w, predict)
-    if doc is None:
-        return None
-    processes = min(processes, max(len(members), 1))
-    groups = [list(range(g, len(members), processes)) for g in range(processes)]
-    # A matrix of L characters holds at most L / 2 numbers. Pages the child
-    # does not write are never allocated.
-    room, offsets, size = {}, {}, 0
-    for group in groups[1:]:
-        for i in group:
-            room[i], offsets[i] = (members[i][2] - members[i][1]) // 2, size
-            size += 8 * room[i]
-    out = mmap.mmap(-1, size) if size else None
+    doc = _walk_object(w, walk_member)
+    if doc is None or not blocks:
+        return doc
+    views, read_fd, write_fd = [], -1, -1
+    pending = memoryview(np.arange(len(blocks), dtype="<u8").tobytes())  # 8 bytes a block
+    feed = select.PIPE_BUF // 8 * 8  # a pipe write of at most PIPE_BUF bytes is whole or none
 
-    def slot(i: int, shape: tuple[int, int]) -> np.ndarray:
-        if math.prod(shape) > room[i]:
-            raise ValueError("no room for the matrix")
-        return np.frombuffer(out, np.float64, math.prod(shape), offsets[i]).reshape(shape)
+    def fill() -> None:
+        nonlocal pending, write_fd
+        while pending:
+            try:
+                os.write(write_fd, pending[:feed])
+            except BlockingIOError:
+                return
+            pending = pending[feed:]
+        if write_fd >= 0:
+            os.close(write_fd)
+            write_fd = -1
 
-    def run_group(group: list[int]) -> list:
+    def claim_blocks(group: list[int]) -> list[int]:
+        nonlocal pending
+        if group[0]:  # in the child: only this process writes block numbers
+            pending = pending[:0]
         parsed = []
-        for i in group:
-            _, start, end, rows = members[i]
-            if i in offsets:  # in the child: parse into the shared map, send the shape
-                array, stop = _parsed_array(w, start, end, rows, lambda shape, i=i: slot(i, shape))
-                parsed.append((array.shape, stop))
+        while True:
+            fill()
+            if pending:  # the pipe is full: claim a block that is not in it
+                token, pending = pending[:8], pending[8:]
             else:
-                parsed.append(_parsed_array(w, start, end, rows))
-        return parsed
+                token = os.read(read_fd, 8)
+            if not token:
+                return parsed
+            i = int.from_bytes(token, "little")
+            member, row, first, stop, rows = blocks[i]
+            view = views[member]
+            view[row:row + rows] = _parsed_rows(w, first, stop, (rows, view.shape[1]))
+            parsed.append(i)
 
     def valid(result, group) -> bool:
-        return isinstance(result, list) and len(result) == len(group) and all(
-            isinstance(item, list) and len(item) == 2 and item[1] == members[i][2]
-            and isinstance(item[0], list) and len(item[0]) == 2
-            and all(type(d) is int and d >= 0 for d in item[0])
-            and math.prod(item[0]) <= room[i]
-            for item, i in zip(result, group)
-        )
+        return isinstance(result, list) and all(type(i) is int for i in result)
 
     try:
-        results = workers._run_groups(groups, run_group, valid)
+        out, offset = mmap.mmap(-1, 8 * sum(rows * width for _, rows, width in members)), 0
+        for _, rows, width in members:
+            views.append(np.frombuffer(out, np.float64, rows * width, offset).reshape(rows, width))
+            offset += 8 * rows * width
+        read_fd, write_fd = os.pipe()
+        os.set_blocking(write_fd, False)
+        fill()
+        groups = [[g] for g in range(min(processes, len(blocks)))]
+        results = workers._run_groups(groups, claim_blocks, valid)
     except Exception:  # a failed walk only costs time: the caller decodes the file whole
         return None
-    if any(end != members[i][2] for (_, end), i in zip(results[0], groups[0])):
+    finally:
+        for fd in (read_fd, write_fd):
+            if fd >= 0:
+                os.close(fd)
+    if sorted(itertools.chain(*results)) != list(range(len(blocks))):
         return None
-    for result, group in zip(results, groups):
-        for (array, _), i in zip(result, group):
-            if i in offsets:  # a shape sent by the child: its numbers are in the map
-                array = np.frombuffer(out, np.float64, math.prod(array), offsets[i]).reshape(array)
-            doc[members[i][0]] = array
+    for (key, _, _), view in zip(members, views):
+        doc[key] = view
     return doc
 
 
-# A file of at least this many bytes is walked, with its matrices parsed
-# on two CPUs when forking is safe (see _walked); a smaller one is decoded
+# A file of at least this many bytes is walked, with its blocks of rows
+# parsed on two CPUs when forking is safe (see _walked); a smaller one is decoded
 # whole for json.loads. Reading two N x 256 solution matrices (about 23.7
 # bytes a number) on a shared 2-vCPU x86-64 VM, split against the
 # one-process walk by the median of 61 interleaved reads, in 4 runs through
@@ -539,9 +518,9 @@ def _split_walk(w: _Window, arrays, processes: int) -> dict | None:
 # one-process walk reads no faster than json.loads (1.05-1.10x as long from
 # 0.97 to 2.42 MB): what it saves is memory. Under tracemalloc a 3.8 MB
 # instance read whole for json.loads peaks at 2.45x the file size, walked
-# by this process alone at 0.74x and on two CPUs at 0.56x (the arrays and
-# the complex H and A; the window is an anonymous map, which the trace does
-# not see); below this size that saving is at most about 3.3 MB.
+# at 0.39x on one CPU or two (the complex H and A; the window and the map
+# of the matrices are anonymous maps, which the trace does not see); below
+# this size that saving is at most about 3.3 MB of traced memory.
 _SPLIT_CHARS = 1_900_000
 
 
@@ -570,7 +549,7 @@ def _read_json_object(path, kind: str) -> dict:
     A file of at least ``_SPLIT_CHARS`` bytes is read twice through a
     window of ``_WINDOW_BYTES`` (see :func:`_walked`): once to walk its
     members, and once more one block of rows at a time to parse each array
-    field of ``kind`` into a float64 array. Its matrices are parsed on two
+    field of ``kind`` into a float64 array. Its blocks are parsed on two
     CPUs where forking is safe, and by this process alone elsewhere (see
     :func:`_split_walk`). A smaller file, one the walk cannot take and one
     that changes while it is read are decoded whole for ``json.loads``, and
@@ -691,7 +670,7 @@ def _is_matrix(value) -> bool:
 
 
 # Numbers per block of rows that a matrix's text is encoded in, and that
-# the reader decodes it in (_parsed_array). json's C encoder holds one str
+# the reader decodes it in (_parsed_rows). json's C encoder holds one str
 # per number until it joins them, about 5x the text it returns, so a matrix
 # encoded whole peaked at about 5x its text; a block of 2^14 numbers is
 # about 0.4 MB of text. Decoding a block holds its text, its lists and its

@@ -518,8 +518,12 @@ def active_set_oracle(pre: Precomputed, instance: ProblemInstance) -> SolveResul
     The result is certified before it is returned: the four optimality
     residuals at (W, lambda) must pass :func:`kkt_passes` at
     ``_ORACLE_TOL``; otherwise ``OracleError`` carries the last W, lambda
-    and raw residuals.
+    and raw residuals. An instance whose objective at W = 0 overflows
+    raises InputError, as the fixed-step solvers do at theirs.
     """
+    with np.errstate(over="ignore"):
+        if not math.isfinite(quad_objective_constant(instance)):  # F(0) = 1/2 ||A||^2
+            raise InputError("objective is non-finite at the zero matrix")
     eta = instance.eta
     lam = np.zeros(pre.b.shape[0])
     top = max(float(np.max(np.real(np.diag(pre.g)))), np.finfo(float).tiny)

@@ -4,8 +4,9 @@
 and each other one in a forked child pinned to its own CPU, when
 :func:`_can_fork` holds. A sweep uses it for its steps (:func:`_lpt_groups`
 over :func:`_step_cost`, gated by the BLAS bounds in
-:func:`_sweep_workers`); the JSON reader uses it for the matrices of large
-files, and the writer for the second half of a large document.
+:func:`_sweep_workers`); the JSON reader uses it to parse the blocks of
+rows of large files, and the writer for the second half of a large
+document.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from cmop import (
 import cmop.harness as harness
 import cmop.workers as workers
 from cmop.cli import EXIT_CHECK_FAILED, EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
-from cmop.errors import InputError, SingularSystemError
+from cmop.errors import InputError
 from cmop.harness import METHODS, default_seed, iterations_to_threshold, parse_alpha_spec
 from cmop.solvers import SolverConfig, gd_solve
 from helpers import make_instance, read_trace, zero_w
@@ -275,16 +275,24 @@ class TestMalformedFiles:
 
     # A numpy warning would print a second stderr line outside pytest.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("method", METHODS)
-    def test_instance_whose_objective_overflows(self, tmp_path, capsys, method):
-        # G and B stay finite at range 3e153, but 1/2 ||H W - A||^2 does not.
+    @pytest.mark.parametrize("command", [
+        *(["solve", "--method", method] for method in METHODS),
+        ["check", "--w-source", "pgd", "--monitors", "thm3,kkt"],
+        ["check", "--w-source", "oracle", "--monitors", "kkt"],
+    ], ids=[*METHODS, "check-thm3", "check-oracle"])
+    def test_instance_whose_objective_overflows(self, tmp_path, capsys, command):
+        # G and B stay finite at range 3e153, but 1/2 ||H W - A||^2 does not:
+        # every method and check says so, the oracle's too.
         path = tmp_path / "big.cmop.json"
         assert main(["gen", "--seed", "0", "--range", "3e153", "-o", str(path)]) == EXIT_OK
         capsys.readouterr()
         out = tmp_path / "w.json"
-        assert main(["solve", str(path), "--method", method, "-o", str(out)]) == EXIT_INPUT
+        args = [command[0], str(path), *command[1:]]
+        if command[0] == "solve":
+            args += ["-o", str(out)]
+        assert main(args) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: objective is non-finite at the ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_trace_not_ascii(self, tmp_path):
@@ -432,13 +440,13 @@ class TestRunCheck:
         assert passed
 
     def test_thm3_runs_the_oracle_before_the_solve(self, tmp_path):
-        # At range 3e153 the oracle's dual value and the solve's initial
-        # objective both overflow. thm3 needs the optimum before the solve
-        # starts, so its error is the oracle's, wherever thm3 is listed.
+        # At range 3e153 the objective overflows at the oracle's W = 0 and
+        # at the solve's initial iterate. thm3 needs the optimum before the
+        # solve starts, so its error is the oracle's, wherever thm3 is listed.
         path = tmp_path / "big.cmop.json"
         write_instance(gen_instance(seed=0, rng_range=3e153), path)
         for monitors in (["thm3"], ["kkt", "thm3"]):
-            with pytest.raises(SingularSystemError):
+            with pytest.raises(InputError, match="at the zero matrix"):
                 run_check(path, "pgd", monitors)
         with pytest.raises(InputError, match="initial iterate"):
             run_check(path, "pgd", ["kkt"])

@@ -11,14 +11,17 @@ behind. Also bounds the memory a read takes and what it reads at a time,
 and smoke-tests ``tools/io_bench.py``."""
 
 import contextlib
+import fcntl
 import itertools
 import json
 import mmap
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -210,6 +213,52 @@ def split_forced():
 PATHS = (contextlib.nullcontext, walk_forced, split_forced)
 
 
+def _wait_for(path: Path, seconds: float = 10.0) -> None:
+    """Return once ``path`` exists, or after ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+@contextlib.contextmanager
+def both_parse(tmp_dir: Path, in_child=lambda: None):
+    """Within, both processes of a split read parse a block: this process
+    parses its first block only once the child has parsed one, and the
+    child then calls ``in_child()`` and goes on once this process has
+    parsed one, or failed to (each waits 10 s at most)."""
+    parent, parsed_rows = os.getpid(), formats._parsed_rows
+    mine, theirs = tmp_dir / "parent-parsed", tmp_dir / "child-parsed"
+    mine.unlink(missing_ok=True)
+    theirs.unlink(missing_ok=True)
+
+    def parse(*args):
+        here = os.getpid() == parent
+        if here:
+            _wait_for(theirs)
+        try:
+            return parsed_rows(*args)
+        finally:  # a parse that raises counts too
+            (mine if here else theirs).touch()
+            if not here:
+                in_child()
+                _wait_for(mine)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_parsed_rows", parse)
+        yield
+
+
+@contextlib.contextmanager
+def claims_recorded():
+    """Within, every split read appends the block numbers each process
+    parsed, this process's first, to the list it yields."""
+    claims, run_groups = [], workers._run_groups
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workers, "_run_groups",
+                      lambda *args: claims.append(run_groups(*args)) or claims[-1])
+        yield claims
+
+
 def write(tmp_dir: Path, text: str) -> Path:
     path = tmp_dir / "doc.json"
     path.write_text(text, encoding="ascii")
@@ -361,10 +410,11 @@ def test_read_peak_memory_stays_near_the_file_size(tmp_path, monkeypatch):
     """Parsing all of a document into lists before converting peaked at
     about 2.45x the file size, holding the file's bytes and text while
     converting each field as it was parsed at 2.00x, and the text and lists
-    of one matrix at a time at 0.99x. The window the file is read through is
-    an anonymous map, which the trace does not see; with one block of rows
-    at a time the peak is the four arrays and the complex H and A built
-    from them, about 0.74x. Serial path."""
+    of one matrix at a time at 0.99x. The window the file is read through
+    and the map the matrices are parsed into are anonymous maps, which the
+    trace does not see; with one block of rows at a time the peak is the
+    complex H and A built from the four arrays, about 0.39x (0.74x while
+    the arrays were on the heap). Serial path."""
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
     monkeypatch.setattr(workers, "_can_fork", lambda: False)
@@ -372,9 +422,10 @@ def test_read_peak_memory_stays_near_the_file_size(tmp_path, monkeypatch):
 
 
 def test_split_read_peak_memory_stays_near_the_file_size(tmp_path, forks):
-    """This process on the two-CPU path, where the child's matrices land in
-    a shared map that the trace does not see either: 0.82x with one
-    matrix's text and lists at a time, about 0.56x with one block of rows."""
+    """This process on the two-CPU path: 0.82x with one matrix's text and
+    lists at a time, 0.56x with one block of rows while this process's
+    matrices were on the heap, about 0.39x with every matrix in the shared
+    map."""
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=400, n=80, k=128, seed=11), path)
     forks.clear()  # the writer's
@@ -388,23 +439,23 @@ def test_matrix_parse_memory_scales_with_the_block(tmp_path, monkeypatch, block)
     """A 4000 x 64 matrix (5.9 MB of text) decoded whole held its text and
     nested lists at once, about 12 MB beyond its array. One block of rows at
     a time holds one block's text, lists and array, about 75 bytes a number
-    of the block; the window it is read into is an anonymous map, which the
-    trace does not see, and is bounded apart."""
+    of the block. The matrix lands in the shared map and the file in the
+    window, both anonymous maps, which the trace does not see; they are
+    bounded apart."""
     matrix = np.random.default_rng(7).uniform(-10.0, 10.0, (4000, 64))
     path = tmp_path / "matrix.json"
-    path.write_text(json.dumps(matrix.tolist(), indent=1), encoding="ascii")
+    path.write_text(json.dumps({"h_re": matrix.tolist()}, indent=1), encoding="ascii")
     size = path.stat().st_size
     monkeypatch.setattr(formats, "_BLOCK_NUMBERS", block)
     with open(path, "rb") as file, formats._Window(file.fileno(), size) as w:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            array, end = formats._parsed_array(w, 0, size, len(matrix))
-            peak = tracemalloc.get_traced_memory()[1] - before - array.nbytes
+            doc = formats._split_walk(w, ("h_re",), 1)
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-    assert end == size
-    assert array.tobytes() == matrix.tobytes()
+    assert doc["h_re"].tobytes() == matrix.tobytes()
     assert peak <= 128 * block, f"peak {peak / block:.0f} bytes a number of the block"
 
 
@@ -467,21 +518,35 @@ def _runs(reads) -> list:
     return [tuple(run) for run in runs]
 
 
+def _block_spans(path: Path, block: int) -> list:
+    """(first, stop) of every block of rows of an instance file's matrices
+    that ``formats._BLOCK_NUMBERS = block`` cuts: ``block // width`` rows a
+    block (at least one)."""
+    text, spans = path.read_bytes(), []
+    for start, end in _matrix_spans(path, NAMED["instance"]):
+        rows = list(re.finditer(rb"\[[^\[\]]*\]", text[start + 1:end]))
+        per = max(1, block // (rows[0].group().count(b",") + 1))
+        spans += [(start + 1 + rows[i].start(), start + 1 + rows[min(i + per, len(rows)) - 1].end())
+                  for i in range(0, len(rows), per)]
+    return spans
+
+
 @pytest.mark.parametrize("forced", [walk_forced, split_forced], ids=["walk", "split"])
-def test_each_matrix_is_released_when_no_process_needs_it(tmp_path, monkeypatch, forks, forced):
-    """No process holds a matrix that it does not parse. This process reads
-    the file once from start to end, a window at a time; then each process
-    reads each matrix that it parses once more, back to back in group
-    order, and nothing else: on the split this process never reads the
-    child's matrices, nor the child this process's."""
+def test_each_block_is_read_once_by_one_process(tmp_path, monkeypatch, forks, forced):
+    """This process reads the file once from start to end, a window at a
+    time, and finds every row then. After that each block of rows is read
+    once more, by the one process that claims it, and nothing else is read:
+    on the split, where both processes parse blocks, each block's bytes are
+    read by exactly one of them."""
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=60, n=40, k=50, seed=3), path)
-    spans, size = _matrix_spans(path, NAMED["instance"]), path.stat().st_size
+    size, spans = path.stat().st_size, _block_spans(path, 400)
     monkeypatch.setattr(formats, "_BLOCK_NUMBERS", 400)  # 6 or 8 blocks of rows a matrix
     monkeypatch.setattr(formats, "_WINDOW_BYTES", 2**14)  # 16 windows for the walk
     log, walked, docs = tmp_path / "calls.log", formats._walked, []
     monkeypatch.setattr(formats, "_walked", lambda *args: docs.append(walked(*args)) or docs[-1])
-    with forced(), recorded(log):
+    both = both_parse(tmp_path) if forced is split_forced else contextlib.nullcontext()
+    with forced(), both, recorded(log):
         _, loaded = read_instance(path)
     assert docs[0] is not None and canonical(loaded) == canonical(
         expected_document(path, "instance"))
@@ -492,13 +557,10 @@ def test_each_matrix_is_released_when_no_process_needs_it(tmp_path, monkeypatch,
     assert all(count <= 2**14 for process in reads.values() for _, count in process)
     parent = reads.pop(os.getpid())
     walk = next(i for i in range(len(parent) + 1) if _runs(parent[:i]) == [(0, size)])
-    spans = [(start + 1, end) for start, end in spans]  # the walk has seen each '['
-    if forced is walk_forced:
-        assert _runs(parent[walk:]) == spans and not reads
-    else:
-        assert _runs(parent[walk:]) == [spans[0], spans[2]]
-        assert [_runs(child) for child in reads.values()] == [[spans[1], spans[3]]]
-        assert list(reads) == forks
+    claimed = [_runs(parent[walk:]), *map(_runs, reads.values())]
+    assert sorted(span for runs in claimed for span in runs) == spans
+    assert list(reads) == forks and len(claimed) == 1 + (forced is split_forced)
+    assert all(claimed)
 
 
 def _rows(path: Path) -> list:
@@ -513,8 +575,8 @@ def test_reads_and_buffers_hold_a_window_or_a_block(tmp_path, forks, forced, row
     never mapped, and every buffer of file text is an anonymous private map
     of one window; where a block of rows is longer than the window (a row of
     2000 numbers against a 16 kB window), the buffer grows to hold it and
-    at most one window more. The one shared map is the split's, for the
-    arrays the child parses."""
+    at most one window more. The one shared map holds every matrix, at
+    exactly its numbers, on one process or two."""
     path = tmp_path / "inst.json"
     m, n, k = (60, 40, 50) if rows == "narrow" else (3, 2000, 1500)
     write_instance(gen_instance(m=m, n=n, k=k, seed=3), path)
@@ -533,9 +595,7 @@ def test_reads_and_buffers_hold_a_window_or_a_block(tmp_path, forks, forced, row
     assert all(fileno == -1 for fileno, _, _ in maps)  # never a map of the file
     private = [length for _, length, flags in maps if flags == mmap.MAP_PRIVATE]
     shared = [length for _, length, flags in maps if flags != mmap.MAP_PRIVATE]
-    assert len(shared) == (forced is split_forced)
-    assert shared == [] or shared[0] == sum(8 * ((e - s) // 2) for s, e in
-                                            _matrix_spans(path, ("h_im", "a_im")))
+    assert shared == [8 * (2 * m * n + 2 * m * k)]
     longest = max(_rows(path))
     assert private[0] == window
     if rows == "narrow":
@@ -548,9 +608,9 @@ def test_buffer_is_anonymous_and_closed_on_every_path(tmp_path, monkeypatch, for
     """Each walk of the file makes one buffer in this process, an anonymous
     private map as long as the window (or the file, where that is shorter),
     and closes it on every path: a document the walk takes, one it does
-    not, a failed child. The only other map is the split's shared one for
-    the child's arrays."""
-    made, real_mmap, parent = [], mmap.mmap, os.getpid()
+    not, a child that exits after it parsed a block. The only other map is
+    the shared one of the matrices."""
+    made, real_mmap = [], mmap.mmap
 
     def recording(fileno, length, **kwargs):
         buf = real_mmap(fileno, length, **kwargs)
@@ -561,13 +621,10 @@ def test_buffer_is_anonymous_and_closed_on_every_path(tmp_path, monkeypatch, for
     good = tmp_path / "inst.json"
     write_instance(gen_instance(m=20, n=10, k=12, seed=4), good)
     bad = write(tmp_path, good.read_text().replace("]", "}", 30))
-    parsed_array = formats._parsed_array
 
     @contextlib.contextmanager
     def child_fails():
-        with split_forced(), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(formats, "_parsed_array", lambda *args: (
-                parsed_array(*args) if os.getpid() == parent else os._exit(1)))
+        with split_forced(), both_parse(tmp_path, lambda: os._exit(1)):
             yield
 
     fds = _open_fds()
@@ -670,21 +727,99 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
+def _map_of(array: np.ndarray):
+    """The object at the root of ``array``'s chain of bases."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
 def test_split_adopts_the_childs_arrays_without_a_copy(tmp_path, forks):
+    """Both processes parse blocks into one shared map, and every matrix
+    comes back as a view of it: the child's rows are used in place."""
     path = tmp_path / "inst.json"
     doc = gen_instance(m=6, n=3, k=4, seed=5)
     write_instance(doc, path)
-    with split_forced():
+    with split_forced(), both_parse(tmp_path), claims_recorded() as claims:
         _, loaded = read_instance(path)
-    assert len(forks) == 1
+    assert len(forks) == 1 and all(claims[0])
     _assert_reaped(forks)
     assert canonical(loaded) == canonical(expected_document(path, "instance"))
+    shared = _map_of(loaded["h_re"])
+    assert isinstance(shared, mmap.mmap)
     for field in NAMED["instance"]:
         assert loaded[field].dtype == np.float64 and loaded[field].flags.writeable
-    # Every other matrix was parsed by the child into the shared buffer.
-    assert [loaded[f].flags.owndata for f in NAMED["instance"]] == [True, False, True, False]
+        assert not loaded[field].flags.owndata and _map_of(loaded[field]) is shared
     loaded["h_im"][0, 0] = 1.5  # the view is writable in place
     assert loaded["h_im"][0, 0] == 1.5
+
+
+def test_a_slow_child_leaves_this_process_the_blocks(tmp_path, forks):
+    """Each process claims the next block when it is free, so where the
+    child parses 20 ms slower a block, this process parses most of them
+    (a split by whole matrices left the child half of them)."""
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=60, n=40, k=50, seed=3), path)
+    parent, parsed_rows = os.getpid(), formats._parsed_rows
+
+    def slow_in_the_child(*args):
+        if os.getpid() != parent:
+            time.sleep(0.02)
+        return parsed_rows(*args)
+
+    with split_forced(), claims_recorded() as claims, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_BLOCK_NUMBERS", 400)  # 28 blocks of rows
+        patch.setattr(formats, "_parsed_rows", slow_in_the_child)
+        loaded = _read_json_object(path, "instance")
+    assert canonical(loaded) == canonical(expected_document(path, "instance"))
+    here, child = claims[0]
+    assert sorted(here + child) == list(range(28))
+    assert len(here) > len(child)
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Within, a read that takes longer than ``seconds`` fails the test
+    instead of hanging it."""
+    def expire(*_):
+        raise TimeoutError(f"still reading after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_more_blocks_than_the_pipe_holds(tmp_path, forks):
+    """With one row a block, an instance has more block numbers than the
+    claim pipe holds: this process claims those that do not fit as it goes,
+    and the read ends, on one process or two, with every block parsed
+    once."""
+    read_end, write_end = os.pipe()
+    try:
+        holds = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ) // 8
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+    m = holds // 4 + 100
+    path = tmp_path / "inst.json"
+    write_instance(gen_instance(m=m, n=1, k=1, seed=6), path)
+    expected = canonical(expected_document(path, "instance"))
+    fds = _open_fds()
+    for forced in (walk_forced, split_forced):
+        with forced(), claims_recorded() as claims, deadline(60), \
+                pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_BLOCK_NUMBERS", 1)
+            assert canonical(_read_json_object(path, "instance")) == expected
+        assert sorted(itertools.chain(*claims[0])) == list(range(4 * m))
+    assert _open_fds() == fds
+    assert len(forks) == 1
+    _assert_reaped(forks)
 
 
 def test_small_file_or_unsafe_to_fork_stays_serial(tmp_path, monkeypatch, forks):
@@ -777,40 +912,44 @@ def _open_fds():
     return len(os.listdir("/proc/self/fd"))
 
 
-@pytest.mark.parametrize(
-    "how", ["raise", "exit", "flat-shape", "oversized", "wrong-end", "wrong-end-here"]
-)
+# How a split read goes wrong once both processes have parsed a block:
+# the child's parse raises or the child exits; the child sends back its
+# block numbers as other than a list of ints, with one past the last block,
+# or without the last one it parsed; or this process leaves out one of its
+# own, whose claims are checked too.
+FAILURES = {
+    "raise": lambda claims, here: claims,
+    "exit": lambda claims, here: claims,
+    "flat-shape": lambda claims, here: claims if here else [[i] for i in claims],
+    "oversized": lambda claims, here: claims if here else claims + [10**6],
+    "wrong-end": lambda claims, here: claims if here else claims[:-1],
+    "wrong-end-here": lambda claims, here: claims[:-1] if here else claims,
+}
+
+
+def _fail(how: str):
+    if how == "raise":
+        raise ValueError("parse failed")
+    if how == "exit":
+        os._exit(1)
+
+
+@pytest.mark.parametrize("how", FAILURES.values(), ids=FAILURES)
 def test_failed_child_falls_back_to_the_serial_result(tmp_path, monkeypatch, forks, how):
-    parent = os.getpid()
-    parsed_array = formats._parsed_array
-    calls = []
-
-    def failing(buf, start, stop, *empty):
-        array, end = parsed_array(buf, start, stop, *empty)
-        calls.append(start)
-        if how == "wrong-end-here":  # in this process: its own ends are checked too
-            return array, end - (os.getpid() == parent)
-        if os.getpid() != parent:
-            if how == "raise":
-                raise ValueError("parse failed")
-            if how == "exit":
-                os._exit(1)
-            if how == "flat-shape":
-                return array.ravel(), end
-            if how == "oversized":  # one number more than h_im's room, within a_im's
-                return (np.zeros((1, (end - start) // 2 + 1)) if len(calls) == 1 else array), end
-            return array, end - 1
-        return array, end
-
-    monkeypatch.setattr(formats, "_parsed_array", failing)
+    """The file is then decoded whole, with no hang, no descriptor left
+    open, the child reaped and this process's CPU affinity restored."""
+    parent, run_groups = os.getpid(), workers._run_groups
+    name = next(key for key, value in FAILURES.items() if value is how)
+    monkeypatch.setattr(workers, "_run_groups", lambda groups, run, valid: run_groups(
+        groups, lambda group: how(run(group), os.getpid() == parent), valid))
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=6, n=3, k=4, seed=5), path)
     fds = _open_fds()
     affinity = os.sched_getaffinity(0)
-    with split_forced():
+    with split_forced(), both_parse(tmp_path, lambda: _fail(name)), deadline(60):
         got = _read_json_object(path, "instance")
     assert canonical(got) == canonical(expected_document(path, "instance"))
-    assert got["h_im"].flags.owndata  # decoded whole, not adopted from the child
+    assert got["h_im"].flags.owndata  # decoded whole, not a view of the shared map
     assert len(forks) == 1
     _assert_reaped(forks)
     assert _open_fds() == fds
@@ -844,6 +983,10 @@ def test_io_bench_small_run(tmp_path):
     for name, paths in (("read_split", ("split", "serial")), ("read_walk", ("walk", "loads"))):
         for ratio in run[name]["numbers"].values():
             assert all(ratio[f"{path}_s"] > 0 for path in paths) and ratio["ratio"] > 0
+    # One split read a size and one of the large instance; every block parsed once.
+    blocks = [ratio["split_blocks"] for ratio in run["read_split"]["numbers"].values()]
+    blocks.append(run["read_large"]["split_blocks"])
+    assert all(b["reads"] == 1 and b["this"] + b["child"] >= 2 for b in blocks)
     harness_run = run["harness_large"]
     assert set(harness_run["rss_rise_mb"]) == {"run_experiment", "run_check"}
     for call, rise in harness_run["rss_rise_mb"].items():

@@ -18,8 +18,9 @@ rounds. Two regimes:
 It then compares the three read paths, each read in turn over a number of
 rounds:
 
-* ``split``: the matrices parsed on two CPUs, this process and a forked
-  child (``formats._SPLIT_CHARS`` set to 0);
+* ``split``: the blocks of rows of the matrices parsed on two CPUs, each
+  claimed by this process or a forked child as it is free
+  (``formats._SPLIT_CHARS`` set to 0);
 * ``walk`` (``serial`` in ``read_split``): the same walk of the file
   through its window in this process alone, the path of hosts that cannot
   fork (``formats._SPLIT_CHARS`` set to 0 and ``workers._can_fork`` false);
@@ -34,7 +35,9 @@ the walk in one process) and ``read_walk`` (that walk over ``loads``).
 files go to ``json.loads``, because the walk saves memory, not time, and
 for small files that saving is small.
 ``read_large`` is the median of ``read_instance`` of the ``large`` instance
-on all three paths, over that size's rounds. ``harness_large`` is the
+on all three paths, over that size's rounds. Each record with split reads
+also counts, in ``split_blocks``, the reads and the blocks of rows that
+this process and the child parsed in all of them. ``harness_large`` is the
 memory of one whole solve and one check of that instance: a
 ``run_experiment`` (pgd at f0.9, writing its trace and solution) and a
 ``run_check`` of its solution (kkt), each in a fresh child as below.
@@ -93,11 +96,36 @@ SMALL_SIZES = {"paper": (10, 5, 8, 1), "large": (40, 20, 16, 1)}
 CROSSOVER_ROWS = (80, 100, 120, 140, 160, 180, 200)
 CROSSOVER_ROUNDS = 61
 SMALL_CROSSOVER_ROWS, SMALL_CROSSOVER_ROUNDS = (2,), 1
+_RUN_GROUPS = workers._run_groups
+# The number of blocks each process parsed, this process's first, in each
+# split read since the last _split_blocks().
+_CLAIMS: list = []
+
+
+def _claims_counted(*args):
+    """``workers._run_groups``, noting how many blocks each process parsed."""
+    results = _RUN_GROUPS(*args)
+    _CLAIMS.append([len(blocks) for blocks in results])
+    return results
+
+
+def _split_blocks() -> dict:
+    """The split reads since the last call, and the blocks this process and
+    the child parsed in all of them."""
+    counts = {"reads": len(_CLAIMS), "this": sum(c[0] for c in _CLAIMS),
+              "child": sum(c[1] for c in _CLAIMS if len(c) > 1)}
+    _CLAIMS.clear()
+    return counts
+
+
 # The settings of each read path: (module, name) to value.
 READ_PATHS = {
-    "split": {(formats, "_SPLIT_CHARS"): 0, (workers, "_can_fork"): workers._can_fork},
-    "walk": {(formats, "_SPLIT_CHARS"): 0, (workers, "_can_fork"): lambda: False},
-    "loads": {(formats, "_SPLIT_CHARS"): float("inf"), (workers, "_can_fork"): workers._can_fork},
+    "split": {(formats, "_SPLIT_CHARS"): 0, (workers, "_can_fork"): workers._can_fork,
+              (workers, "_run_groups"): _claims_counted},
+    "walk": {(formats, "_SPLIT_CHARS"): 0, (workers, "_can_fork"): lambda: False,
+             (workers, "_run_groups"): _RUN_GROUPS},
+    "loads": {(formats, "_SPLIT_CHARS"): float("inf"), (workers, "_can_fork"): workers._can_fork,
+              (workers, "_run_groups"): _RUN_GROUPS},
 }
 # name: its two read paths, the one timed first.
 CROSSOVERS = {
@@ -241,6 +269,7 @@ def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
         w = rng.standard_normal((n, 256)) + 1j * rng.standard_normal((n, 256))
         path = tmp / f"crossover-{n}.json"
         write_solution(w, path)
+        _split_blocks()
         seconds = _paths_median_s(paths, read_solution, path, rounds)
         out[str(2 * n * 256)] = {
             "bytes": path.stat().st_size,
@@ -248,6 +277,8 @@ def crossover(paths: dict, rows: tuple, rounds: int, tmp: Path) -> dict:
             f"{second}_s": round(seconds[second], 6),
             "ratio": round(seconds[first] / seconds[second], 3),
         }
+        if "split" in paths:
+            out[str(2 * n * 256)]["split_blocks"] = _split_blocks()
     return {"rounds": rounds, "split_chars": formats._SPLIT_CHARS, "numbers": out}
 
 
@@ -255,9 +286,11 @@ def large_reads(m: int, n: int, k: int, rounds: int, tmp: Path) -> dict:
     """The median seconds of ``read_instance`` of the M x N x K instance of
     :func:`run_size` on every read path."""
     path = tmp / f"inst-{m}x{n}x{k}.json"
+    _split_blocks()
     seconds = _paths_median_s(READ_PATHS, read_instance, path, rounds)
     return {"bytes": path.stat().st_size, "rounds": rounds,
-            **{f"{name}_s": round(s, 6) for name, s in seconds.items()}}
+            **{f"{name}_s": round(s, 6) for name, s in seconds.items()},
+            "split_blocks": _split_blocks()}
 
 
 def main(argv=None) -> int:
