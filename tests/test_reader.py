@@ -913,10 +913,11 @@ def _open_fds():
 
 
 # How a split read goes wrong once both processes have parsed a block:
-# the child's parse raises or the child exits; the child sends back its
-# block numbers as other than a list of ints, with one past the last block,
-# or without the last one it parsed; or this process leaves out one of its
-# own, whose claims are checked too.
+# the child's parse raises or the child exits (see _fail); the child sends
+# back its block numbers as other than a list of ints, with one past the
+# last block, or without the last one it parsed; or this process leaves out
+# one of its own, whose claims are checked too. Each maps a process's block
+# numbers, and whether it is this process, to what that process returns.
 FAILURES = {
     "raise": lambda claims, here: claims,
     "exit": lambda claims, here: claims,
@@ -934,19 +935,18 @@ def _fail(how: str):
         os._exit(1)
 
 
-@pytest.mark.parametrize("how", FAILURES.values(), ids=FAILURES)
+@pytest.mark.parametrize("how", FAILURES)
 def test_failed_child_falls_back_to_the_serial_result(tmp_path, monkeypatch, forks, how):
     """The file is then decoded whole, with no hang, no descriptor left
     open, the child reaped and this process's CPU affinity restored."""
-    parent, run_groups = os.getpid(), workers._run_groups
-    name = next(key for key, value in FAILURES.items() if value is how)
+    parent, run_groups, sent = os.getpid(), workers._run_groups, FAILURES[how]
     monkeypatch.setattr(workers, "_run_groups", lambda groups, run, valid: run_groups(
-        groups, lambda group: how(run(group), os.getpid() == parent), valid))
+        groups, lambda group: sent(run(group), os.getpid() == parent), valid))
     path = tmp_path / "inst.json"
     write_instance(gen_instance(m=6, n=3, k=4, seed=5), path)
     fds = _open_fds()
     affinity = os.sched_getaffinity(0)
-    with split_forced(), both_parse(tmp_path, lambda: _fail(name)), deadline(60):
+    with split_forced(), both_parse(tmp_path, lambda: _fail(how)), deadline(60):
         got = _read_json_object(path, "instance")
     assert canonical(got) == canonical(expected_document(path, "instance"))
     assert got["h_im"].flags.owndata  # decoded whole, not a view of the shared map
